@@ -11,7 +11,6 @@ from .linalg import (  # noqa: F401
     SingularMatrix,
     invert,
     make_rng,
-    matmul,
     orthogonal_init,
     orthogonality_error,
     xavier_init,

@@ -73,7 +73,10 @@ def _cmd_train(args) -> int:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _cmd_gridsearch(args) -> int:
@@ -109,6 +112,10 @@ def _cmd_align(args) -> int:
 def _cmd_equilibrium(args) -> int:
     import os
     nus = _parse_floats(args.nus)
+    if not all(0.0 <= nu < 1.0 for nu in nus):
+        raise ConfigError(f"every nu must lie in [0, 1), got {args.nus!r}")
+    if not 0.0 < args.dt < 0.1:  # the sweep's tau is 1; the circuit needs dt < tau/10
+        raise ConfigError(f"dt must lie in (0, 0.1), got {args.dt}")
     rows = equilibrium_sweep(nus, seed=args.seed if args.seed is not None else 0,
                              dt=args.dt)
     os.makedirs(args.out, exist_ok=True)

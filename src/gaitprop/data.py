@@ -104,14 +104,6 @@ def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) 
         fh.write(labels.tobytes())
 
 
-def one_hot(label: int, classes: int) -> np.ndarray:
-    if not 0 <= label < classes:
-        raise ValueError(f"label {label} out of range for {classes} classes")
-    vec = np.zeros(classes)
-    vec[label] = 1.0
-    return vec
-
-
 def one_hot_batch(labels: np.ndarray, classes: int) -> np.ndarray:
     """Column-wise one-hot block, shape (classes, n_labels)."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -128,6 +120,23 @@ def teacher_network(n_in: int, depth: int, seed: int):
                          "orthogonal", seed)
 
 
+def _teacher_draw(n_in: int, depth: int, n_classes: int, samples: int,
+                  rng: np.random.Generator):
+    """The frozen teacher, seeded by the rng's first draw, and the uniform
+    [0, 1] inputs drawn after it."""
+    if n_classes > n_in:
+        raise ValueError("n_classes must not exceed n_in")
+    teacher = teacher_network(n_in, depth, int(rng.integers(0, 2**63 - 1)))
+    return teacher, rng.uniform(0.0, 1.0, size=(samples, n_in))
+
+
+def _teacher_labels(teacher, inputs: np.ndarray, n_classes: int) -> np.ndarray:
+    if len(inputs) == 0:
+        return np.zeros(0, dtype=np.int64)
+    out = forward(teacher, inputs.T).output()
+    return np.argmax(out[:n_classes], axis=0).astype(np.int64)
+
+
 def synthetic_teacher(n_in: int, depth: int, n_classes: int, samples: int,
                       rng: np.random.Generator) -> Dataset:
     """Labels are the argmax over the first n_classes outputs of a frozen
@@ -136,39 +145,23 @@ def synthetic_teacher(n_in: int, depth: int, n_classes: int, samples: int,
     The teacher weights are derived from the rng's own stream, so a single
     seed pins the whole dataset.
     """
-    if n_classes > n_in:
-        raise ValueError("n_classes must not exceed n_in")
-    teacher_seed = int(rng.integers(0, 2**63 - 1))
-    net = teacher_network(n_in, depth, teacher_seed)
-    inputs = rng.uniform(0.0, 1.0, size=(samples, n_in))
-    if samples == 0:
-        return Dataset(inputs=inputs, labels=np.zeros(0, dtype=np.int64),
-                       n_classes=n_classes)
-    out = forward(net, inputs.T).output()
-    labels = np.argmax(out[:n_classes], axis=0).astype(np.int64)
-    return Dataset(inputs=inputs, labels=labels, n_classes=n_classes)
+    teacher, inputs = _teacher_draw(n_in, depth, n_classes, samples, rng)
+    return Dataset(inputs=inputs, labels=_teacher_labels(teacher, inputs, n_classes),
+                   n_classes=n_classes)
 
 
 def synthetic_teacher_quantized(n_in: int, depth: int, n_classes: int,
                                 samples: int, seed: int):
     """Byte-quantized variant for writing IDX files.
 
-    Labels are recomputed from the quantized pixels so that loading the
-    files reproduces the dataset exactly. Returns (pixels uint8 (n, n_in),
-    labels int64).
+    Labels are computed from the quantized pixels so that loading the files
+    reproduces the dataset exactly. Returns (pixels uint8 (n, n_in), labels
+    int64).
     """
-    rng = np.random.Generator(np.random.Philox(seed))
-    ds = synthetic_teacher(n_in, depth, n_classes, samples, rng)
-    pixels = np.clip(np.round(ds.inputs * 255.0), 0, 255).astype(np.uint8)
-    # Teacher seed is the first draw from an identically-seeded stream.
-    teacher_seed = int(np.random.Generator(np.random.Philox(seed))
-                       .integers(0, 2**63 - 1))
-    net = teacher_network(n_in, depth, teacher_seed)
-    if samples == 0:
-        return pixels, np.zeros(0, dtype=np.int64)
-    out = forward(net, (pixels.astype(np.float64) / 255.0).T).output()
-    labels = np.argmax(out[:n_classes], axis=0).astype(np.int64)
-    return pixels, labels
+    teacher, inputs = _teacher_draw(n_in, depth, n_classes, samples,
+                                    np.random.Generator(np.random.Philox(seed)))
+    pixels = np.clip(np.round(inputs * 255.0), 0, 255).astype(np.uint8)
+    return pixels, _teacher_labels(teacher, pixels.astype(np.float64) / 255.0, n_classes)
 
 
 def batches(ds: Dataset, batch_size: int, shuffle: bool,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from .data import Dataset, batches, load_idx, one_hot_batch, synthetic_teacher
 from .diagnostics import AlignmentReport, align, ortho_drift, \
     write_alignment_csv, write_scatter_csv
 from .dynamics import CircuitConfig, Divergence, equilibria, simulate
-from .network import Activation, Network, build_network, forward, save_checkpoint
+from .network import ACTIVATION_KINDS, Activation, Network, build_network, forward, \
+    save_checkpoint
 from .optim import AdamState, adam_step
 from .rules import IncrementalConfig, bp_updates, gait_targets, gait_updates, \
     itp_targets, itp_updates, ortho_reg_grad, tp_targets, tp_updates
@@ -123,7 +124,21 @@ class ExperimentConfig:
                 raise ConfigError(f"dataset=idx needs paths: {', '.join(missing)}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if not 0.0 < self.gamma <= 1.0:
+            raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
+        if self.rule == "gait" and self.gamma >= 1.0:
+            raise ConfigError("rule=gait needs gamma < 1 (its blend is gamma * gain^2)")
+        if self.activation not in ACTIVATION_KINDS:
+            raise ConfigError(f"unknown activation {self.activation!r}")
+        if self.activation == "leaky_relu" and not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.reg_mode not in ("mask", "product"):
+            raise ConfigError(f"unknown reg_mode {self.reg_mode!r}")
+        if not self.resolved_eta() > 0.0 or not self.resolved_lam() >= 0.0:
+            raise ConfigError("eta must be > 0 and lam >= 0")
         widths = self.resolved_widths()
+        if not widths or min(widths) < 1 or list(widths) != sorted(widths, reverse=True):
+            raise ConfigError(f"widths {widths} must be >= 1 and non-increasing")
         if not 1 <= self.classes <= widths[-1]:
             raise ConfigError("classes must fit in the last layer width")
         self.resolved_init()
@@ -137,14 +152,27 @@ class ExperimentConfig:
         return out
 
 
-_BOOL_KEYS = {"scale_updates", "allow_init_mismatch"}
-_INT_KEYS = {"width", "depth", "classes", "batch_size", "epochs", "seed",
-             "data_seed", "teacher_depth", "train_samples", "test_samples"}
-_FLOAT_KEYS = {"alpha", "gamma"}
-_OPT_FLOAT_KEYS = {"eta", "lam"}
-_STR_KEYS = {"rule", "arch", "activation", "init", "reg_mode", "dataset",
-             "train_images", "train_labels", "test_images", "test_labels",
-             "save_checkpoint"}
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+# Keyed by annotation text: annotations in this module are strings
+# (``from __future__ import annotations``).
+_PARSERS = {"bool": lambda v: _BOOLS[v.lower()], "int": int, "float": float, "str": str,
+            "tuple[int, ...]": lambda v: tuple(int(x) for x in v.split(","))}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
+def _parse_value(key: str, value: str):
+    """Convert one string value by its field's annotation; ``auto`` selects
+    None for optional non-string fields."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key {key!r}")
+    annotation = _FIELD_TYPES[key]
+    kind = annotation.removesuffix(" | None")
+    if kind != annotation and kind != "str" and value.lower() == "auto":
+        return None
+    try:
+        return _PARSERS[kind](value)
+    except (ValueError, KeyError):
+        raise ConfigError(f"{key}: expected {kind}, got {value!r}") from None
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -165,25 +193,7 @@ def config_from_mapping(mapping: dict[str, str],
                         base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Build a config from string values, type-checking every key."""
     cfg = base or ExperimentConfig()
-    updates: dict = {}
-    for key, value in mapping.items():
-        if key == "widths":
-            updates[key] = tuple(int(v) for v in value.replace(" ", "").split(","))
-        elif key in _BOOL_KEYS:
-            low = value.lower()
-            if low not in ("true", "false", "1", "0", "yes", "no"):
-                raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-            updates[key] = low in ("true", "1", "yes")
-        elif key in _INT_KEYS:
-            updates[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            updates[key] = float(value)
-        elif key in _OPT_FLOAT_KEYS:
-            updates[key] = None if value.lower() == "auto" else float(value)
-        elif key in _STR_KEYS:
-            updates[key] = value
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
+    updates = {key: _parse_value(key, value) for key, value in mapping.items()}
     cfg = replace(cfg, **updates)
     cfg.validate()
     return cfg
@@ -209,16 +219,7 @@ class RunRecord:
     version: str = __version__
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "epochs": self.epochs,
-            "peak_train_acc": self.peak_train_acc,
-            "peak_test_acc": self.peak_test_acc,
-            "final_train_acc": self.final_train_acc,
-            "final_test_acc": self.final_test_acc,
-            "wall_clock_s": self.wall_clock_s,
-            "version": self.version,
-        }
+        return asdict(self)
 
 
 def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:

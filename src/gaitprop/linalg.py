@@ -47,15 +47,6 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def invert(m: np.ndarray) -> np.ndarray:
     """Inverse of a square matrix via pivoted LU.
 

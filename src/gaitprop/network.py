@@ -58,18 +58,6 @@ class Activation:
         return np.where(x >= 0, 1.0, self.slope)
 
 
-def act_forward(a: Activation, x: np.ndarray) -> np.ndarray:
-    return a.forward(x)
-
-
-def act_inverse(a: Activation, y: np.ndarray) -> np.ndarray:
-    return a.inverse(y)
-
-
-def act_deriv(a: Activation, x: np.ndarray) -> np.ndarray:
-    return a.deriv(x)
-
-
 class Layer:
     """Square invertible layer with a forward/auxiliary unit split.
 

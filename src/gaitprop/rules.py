@@ -4,12 +4,23 @@ All rules are pure functions of (network, trace, output target, config) and
 return per-layer weight updates that already point in the descent direction;
 the optimizer applies the learning rate.
 
-Targets are represented both as absolute vectors and as gaps (forward
-activation minus target). The incremental rules compute the gap recursion
-directly: a gap at the deepest layer of a gamma=1e-3, depth-4 network is of
-order gamma^3 = 1e-9 relative to the activations, so forming absolute
-targets first and subtracting would lose half the mantissa to cancellation.
-The gap recursion keeps every intermediate at the scale of the gap itself.
+Every rule is one backward recursion ``e_{l-1} = P_l(e_l)`` from
+``e = output - target``, followed by one local update
+``dW_l = -s_l (g_l * pad(e_l)) x_l^T / n``. Only the propagation operator
+``P_l`` and the scale ``s_l`` differ:
+
+* bp: ``P_l = W^T (g * pad(.))``, ``s_l = 1``;
+* tp, itp, gait: ``P_l = W^-1`` after the exact inverse-activation
+  displacement of ``pad(blend_l * .)``, with blend 1 (tp), gamma (itp) or
+  gamma * g^2 (gait), and ``s_l = gamma^-(top - l)`` for itp and gait when
+  updates are rescaled, else 1.
+
+For the target rules ``e_l`` is the gap (forward activation minus target).
+Computing gaps directly matters: a gap at the deepest layer of a
+gamma=1e-3, depth-4 network is of order gamma^3 = 1e-9 relative to the
+activations, so forming absolute targets first and subtracting would lose
+half the mantissa to cancellation. The gap recursion keeps every
+intermediate at the scale of the gap itself.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import ForwardTrace, Network, _as_columns, augmented_inverse
+from .network import ForwardTrace, Network, _as_columns
 
 
 @dataclass(frozen=True)
@@ -62,17 +73,6 @@ class UpdateSet:
 
     rule: str
     deltas: list[np.ndarray] = field(default_factory=list)
-    sample_count: int = 1
-
-
-def _check_output_target(trace: ForwardTrace, t_out: np.ndarray) -> np.ndarray:
-    width = trace.forward_widths[-1]
-    t = _as_columns(t_out, width, "output target")
-    if t.shape[1] != trace.n_samples:
-        raise ValueError(
-            f"target batch {t.shape[1]} != trace batch {trace.n_samples}"
-        )
-    return t
 
 
 def _pad_rows(x: np.ndarray, total: int) -> np.ndarray:
@@ -84,46 +84,48 @@ def _pad_rows(x: np.ndarray, total: int) -> np.ndarray:
     return out
 
 
+def _backward(trace: ForwardTrace, t_out: np.ndarray, propagate) -> list[np.ndarray]:
+    """The one backward recursion: ``e_{l-1} = propagate(l, e_l)`` from
+    ``output - target``; each ``e_l`` lives on layer l's forward units."""
+    t = _as_columns(t_out, trace.forward_widths[-1], "output target")
+    if t.shape[1] != trace.n_samples:
+        raise ValueError(f"target batch {t.shape[1]} != trace batch {trace.n_samples}")
+    errs: list[np.ndarray] = [np.empty(0)] * trace.depth
+    errs[-1] = trace.output() - t
+    for l in range(trace.depth - 1, 0, -1):
+        errs[l - 1] = propagate(l, errs[l])
+    return errs
+
+
+def _local_updates(
+    trace: ForwardTrace, errs: list[np.ndarray], rule: str, gamma: float = 1.0
+) -> UpdateSet:
+    """The one local update, with ``s_l = gamma^-(top - l)``; batched
+    traces yield the mean of the per-sample updates."""
+    n = trace.n_samples
+    top = trace.depth - 1
+    deltas = []
+    for l in range(trace.depth):
+        d = trace.gains[l] * _pad_rows(errs[l], trace.activations[l].shape[0])
+        delta = -(d @ trace.layer_input(l).T) / n
+        if gamma != 1.0:
+            delta = delta * gamma ** -(top - l)
+        deltas.append(delta)
+    return UpdateSet(rule=rule, deltas=deltas)
+
+
 def bp_updates(net: Network, trace: ForwardTrace, t_out: np.ndarray) -> UpdateSet:
     """Gradient-descent updates for the quadratic output loss.
 
-    Auxiliary output units receive no error; at every layer the backward
-    product is restricted to the forward sub-block, mirroring the forward
-    pass. Batched traces yield the mean of the per-sample updates.
+    The error goes down through ``W^T`` after the gain. Auxiliary output
+    units receive no error; at every layer the backward product is
+    restricted to the forward sub-block, mirroring the forward pass.
     """
-    t = _check_output_target(trace, t_out)
-    n = trace.n_samples
-    deltas: list[np.ndarray] = [np.empty(0)] * trace.depth
-    err = trace.output() - t
-    for l in range(trace.depth - 1, -1, -1):
-        layer = net.layers[l]
-        d = trace.gains[l] * _pad_rows(err, layer.total_width)
-        deltas[l] = -(d @ trace.layer_input(l).T) / n
-        if l > 0:
-            err = layer.weight.T @ d
-    return UpdateSet(rule="bp", deltas=deltas, sample_count=n)
+    def propagate(l: int, err: np.ndarray) -> np.ndarray:
+        d = trace.gains[l] * _pad_rows(err, net.layers[l].total_width)
+        return net.layers[l].weight.T @ d
 
-
-def tp_targets(net: Network, trace: ForwardTrace, t_out: np.ndarray) -> TargetStack:
-    """Layer-wise targets from exact inversion of the output target.
-
-    Auxiliary activations are copied from the trace at every step, so the
-    inversion stays square.
-    """
-    t = _check_output_target(trace, t_out)
-    depth = trace.depth
-    targets: list[np.ndarray] = [np.empty(0)] * depth
-    targets[depth - 1] = t
-    for l in range(depth - 1, 0, -1):
-        pre_image = augmented_inverse(net.layers[l], targets[l], trace.aux_part(l))
-        targets[l - 1] = pre_image
-    gaps = [trace.forward_part(l) - targets[l] for l in range(depth)]
-    return TargetStack(
-        flavor="tp",
-        targets=targets,
-        gaps=gaps,
-        sign_flips=np.zeros(trace.n_samples, dtype=np.int64),
-    )
+    return _local_updates(trace, _backward(trace, t_out, propagate), "bp")
 
 
 def _inverse_displacement(act: np.ndarray, disp: np.ndarray, slope: float):
@@ -143,34 +145,35 @@ def _inverse_displacement(act: np.ndarray, disp: np.ndarray, slope: float):
     return v, crossed
 
 
-def _incremental_stack(
-    net: Network, trace: ForwardTrace, t_out: np.ndarray, blend_gains, flavor: str
+def _target_stack(
+    net: Network, trace: ForwardTrace, t_out: np.ndarray, blend, flavor: str
 ) -> TargetStack:
-    """Shared gap recursion for the incremental rules.
-
-    ``blend_gains(l)`` returns the per-unit blend factor over layer l's
-    forward coordinates. The blended activation is displaced from the
-    forward pass by blend * gap; propagating the displacement through the
-    exact inverse gives the next gap directly.
-    """
-    t = _check_output_target(trace, t_out)
-    depth = trace.depth
-    gaps: list[np.ndarray] = [np.empty(0)] * depth
-    gaps[depth - 1] = trace.output() - t
+    """Gap recursion of the target rules: layer l's activation moves
+    ``blend(l) * gap`` toward its target (auxiliary units stay put) and the
+    exact pre-image of that displacement is the next gap."""
     flips = np.zeros(trace.n_samples, dtype=np.int64)
-    for l in range(depth - 1, 0, -1):
+
+    def propagate(l: int, gap: np.ndarray) -> np.ndarray:
         layer = net.layers[l]
-        disp = _pad_rows(blend_gains(l) * gaps[l], layer.total_width)
+        disp = _pad_rows(blend(l) * gap, layer.total_width)
         if layer.activation.kind == "linear":
             v = disp
         else:
             v, crossed = _inverse_displacement(
                 trace.activations[l], disp, layer.activation.slope
             )
-            flips += crossed.sum(axis=0)
-        gaps[l - 1] = layer.weight_inv @ v
-    targets = [trace.forward_part(l) - gaps[l] for l in range(depth)]
+            flips[:] += crossed.sum(axis=0)
+        return layer.weight_inv @ v
+
+    gaps = _backward(trace, t_out, propagate)
+    targets = [trace.forward_part(l) - gaps[l] for l in range(trace.depth)]
     return TargetStack(flavor=flavor, targets=targets, gaps=gaps, sign_flips=flips)
+
+
+def tp_targets(net: Network, trace: ForwardTrace, t_out: np.ndarray) -> TargetStack:
+    """Layer-wise targets from exact inversion of the output target: the
+    gap recursion with the whole gap blended in at every layer."""
+    return _target_stack(net, trace, t_out, lambda l: 1.0, "tp")
 
 
 def itp_targets(
@@ -178,61 +181,39 @@ def itp_targets(
 ) -> TargetStack:
     """Incremental targets: blend a fixed fraction gamma toward the target
     before each inversion. gamma = 1 degenerates to plain target propagation."""
-    return _incremental_stack(net, trace, t_out, lambda l: cfg.gamma, "itp")
+    return _target_stack(net, trace, t_out, lambda l: cfg.gamma, "itp")
 
 
 def gait_targets(
     net: Network, trace: ForwardTrace, t_out: np.ndarray, cfg: IncrementalConfig
 ) -> TargetStack:
     """Gradient-adjusted incremental targets: the blend fraction is
-    gamma times the squared activation gain, per unit."""
-    for l in range(1, trace.depth):
-        fwd = trace.forward_widths[l]
-        worst = cfg.gamma * float(np.max(trace.gains[l][:fwd] ** 2)) if fwd else 0.0
-        if worst >= 1.0:
-            raise ValueError(
-                f"gamma {cfg.gamma} too large for layer {l} gains (blend {worst:.3g} >= 1)"
-            )
-
+    gamma times the squared activation gain, per unit; it must stay below 1."""
     def blend(l: int) -> np.ndarray:
-        return cfg.gamma * trace.gains[l][: trace.forward_widths[l]] ** 2
+        b = cfg.gamma * trace.gains[l][: trace.forward_widths[l]] ** 2
+        if b.max(initial=0.0) >= 1.0:
+            raise ValueError(
+                f"gamma {cfg.gamma} too large for layer {l} gains (blend {b.max():.3g} >= 1)"
+            )
+        return b
 
-    return _incremental_stack(net, trace, t_out, blend, "gait")
+    return _target_stack(net, trace, t_out, blend, "gait")
 
 
-def _local_updates(
-    trace: ForwardTrace, stack: TargetStack, rule: str, layer_scale=None
+def _target_updates(
+    trace: ForwardTrace, targets: TargetStack, flavor: str,
+    cfg: IncrementalConfig | None = None,
 ) -> UpdateSet:
-    n = trace.n_samples
-    deltas = []
-    for l in range(trace.depth):
-        width = trace.activations[l].shape[0]
-        d = trace.gains[l] * _pad_rows(stack.gaps[l], width)
-        delta = -(d @ trace.layer_input(l).T) / n
-        if layer_scale is not None:
-            delta = delta * layer_scale(l)
-        deltas.append(delta)
-    return UpdateSet(rule=rule, deltas=deltas, sample_count=n)
+    if targets.flavor != flavor:
+        raise ValueError(f"expected {flavor} targets, got {targets.flavor!r}")
+    gamma = cfg.gamma if cfg is not None and cfg.scale_updates else 1.0
+    return _local_updates(trace, targets.gaps, flavor, gamma)
 
 
 def tp_updates(trace: ForwardTrace, targets: TargetStack) -> UpdateSet:
     """Local delta-rule updates toward propagated targets; auxiliary rows
     stay exactly zero because auxiliary targets equal the forward pass."""
-    if targets.flavor != "tp":
-        raise ValueError(f"expected tp targets, got {targets.flavor!r}")
-    return _local_updates(trace, targets, "tp")
-
-
-def _scaled_incremental_updates(
-    trace: ForwardTrace, targets: TargetStack, cfg: IncrementalConfig, flavor: str
-) -> UpdateSet:
-    if targets.flavor != flavor:
-        raise ValueError(f"expected {flavor} targets, got {targets.flavor!r}")
-    scale = None
-    if cfg.scale_updates:
-        top = trace.depth - 1
-        scale = lambda l: cfg.gamma ** -(top - l)
-    return _local_updates(trace, targets, flavor, scale)
+    return _target_updates(trace, targets, "tp")
 
 
 def itp_updates(
@@ -240,7 +221,7 @@ def itp_updates(
 ) -> UpdateSet:
     """Updates from incremental targets; optionally rescaled by
     gamma^-(depth-1-l) so magnitudes match backprop layer by layer."""
-    return _scaled_incremental_updates(trace, targets, cfg, "itp")
+    return _target_updates(trace, targets, "itp", cfg)
 
 
 def gait_updates(
@@ -248,7 +229,7 @@ def gait_updates(
 ) -> UpdateSet:
     """Updates from gradient-adjusted targets, rescaled as for itp_updates.
     With orthogonal weights and no kink crossings these equal bp_updates."""
-    return _scaled_incremental_updates(trace, targets, cfg, "gait")
+    return _target_updates(trace, targets, "gait", cfg)
 
 
 def loss_to_target(y_out: np.ndarray, loss_gradient: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from gaitprop.cli import main
 
 DESK_ARGS = ["--set", "width=16", "--set", "depth=3", "--set", "classes=4",
@@ -115,3 +117,27 @@ class TestDatagenAndInspect:
         code = main(["checkpoint-inspect", str(bad)])
         assert code == 1
         assert "error[CheckpointError]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--set", "width=abc"],
+    ["train", "--set", "widths=8,x"],
+    ["train", "--set", "widths=8,16"],
+    ["train", "--set", "depth=0"],
+    ["train", "--set", "gamma=0"],
+    ["train", "--set", "reg_mode=bogus", "--set", "lam=0"],
+    ["train", "--set", "rule=gait", "--set", "gamma=1"],
+    ["train", "--set", "alpha=2"],
+    ["train", "--set", "activation=tanh"],
+    ["train", "--set", "eta=-1"],
+    ["gridsearch", "--etas", "1e-3,x"],
+    ["equilibrium", "--nus", "1.5"],
+    ["equilibrium", "--dt", "0"],
+])
+def test_config_mistakes_exit_2(argv, tmp_path, capsys):
+    # An exception escaping main() fails this test, as a traceback on
+    # the command line would; stderr must hold only the typed line.
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error[config]: ")

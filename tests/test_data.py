@@ -11,7 +11,6 @@ from gaitprop.data import (
     TruncatedFile,
     batches,
     load_idx,
-    one_hot,
     one_hot_batch,
     synthetic_teacher,
     synthetic_teacher_quantized,
@@ -92,17 +91,19 @@ class TestIdxErrors:
 
 class TestOneHot:
     def test_examples(self):
-        assert np.array_equal(one_hot(3, 10),
+        assert np.array_equal(one_hot_batch(np.array([3]), 10)[:, 0],
                               [0, 0, 0, 1, 0, 0, 0, 0, 0, 0])
-        assert np.array_equal(one_hot(0, 2), [1, 0])
+        assert np.array_equal(one_hot_batch(np.array([0]), 2)[:, 0], [1, 0])
 
     def test_sums_to_one(self):
-        for label in range(5):
-            assert one_hot(label, 5).sum() == 1.0
+        block = one_hot_batch(np.arange(5), 5)
+        assert np.array_equal(block.sum(axis=0), np.ones(5))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            one_hot(5, 5)
+            one_hot_batch(np.array([5]), 5)
+        with pytest.raises(ValueError):
+            one_hot_batch(np.array([-1]), 5)
 
     def test_batch_layout(self):
         block = one_hot_batch(np.array([1, 0, 2]), 3)

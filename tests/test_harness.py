@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gaitprop import IncrementalConfig, forward, harness
 from gaitprop.data import synthetic_teacher_quantized, write_idx
 from gaitprop.harness import (
     ConfigError,
@@ -22,6 +23,8 @@ from gaitprop.harness import (
     write_run_outputs,
     _cell_seed,
 )
+
+from conftest import make_net
 
 DESK = ExperimentConfig(width=16, depth=3, classes=4, dataset="synthetic",
                         teacher_depth=2, train_samples=2000, test_samples=1000,
@@ -248,3 +251,41 @@ class TestEquilibriumSweep:
         d2 = abs(errs[1] - errs[2])
         assert d2 < d1
         assert d1 / d2 == pytest.approx(2.0, rel=0.5)
+
+
+RULE_FUNCTIONS = ("bp_updates", "tp_targets", "tp_updates", "itp_targets",
+                  "itp_updates", "gait_targets", "gait_updates")
+
+
+class TestRuleLookup:
+    """The benchmark times each rule by replacing the ``harness`` attribute
+    of the same name, so harness must look the rules up there per call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        for name in RULE_FUNCTIONS:
+            def counted(*args, _name=name, _real=getattr(harness, name), **kwargs):
+                seen.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(harness, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("rule,expected", [
+        ("bp", ["bp_updates"]),
+        ("tp", ["tp_targets", "tp_updates"]),
+        ("itp", ["itp_targets", "itp_updates"]),
+        ("gait", ["gait_targets", "gait_updates"]),
+    ])
+    def test_rule_updates(self, rule, expected, calls, rng):
+        net = make_net([8, 6], 4, seed=0)
+        trace = forward(net, rng.uniform(0, 1, (8, 3)))
+        harness.rule_updates(rule, net, trace, trace.output() + 0.1,
+                             IncrementalConfig())
+        assert calls == expected
+
+    def test_align_experiment(self, calls):
+        align_experiment(TINY, 4)
+        per_init = ["bp_updates", "tp_targets", "tp_updates",
+                    "gait_targets", "gait_updates"]
+        assert sorted(calls) == sorted(per_init * 2)

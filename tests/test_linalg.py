@@ -6,7 +6,6 @@ from gaitprop.linalg import (
     as_matrix,
     invert,
     make_rng,
-    matmul,
     orthogonal_init,
     orthogonality_error,
     split_rng,
@@ -14,28 +13,6 @@ from gaitprop.linalg import (
 )
 
 from conftest import controlled_matrix
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_computed(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        assert np.array_equal(matmul(a, b), np.array([[2.0], [4.0]]))
-
-    def test_associativity(self):
-        r = make_rng(3)
-        a, b, c = (r.standard_normal((5, 5)) for _ in range(3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.abs(left - right).max() < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(np.eye(3), np.eye(4))
 
 
 class TestInvert:

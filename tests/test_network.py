@@ -13,7 +13,7 @@ from gaitprop import (
     save_checkpoint,
 )
 from gaitprop.linalg import SingularMatrix, make_rng, orthogonal_init
-from gaitprop.network import CheckpointError, act_deriv, act_forward, act_inverse
+from gaitprop.network import CheckpointError
 
 from conftest import make_net
 
@@ -21,20 +21,20 @@ from conftest import make_net
 class TestActivation:
     def test_leaky_relu_values(self):
         a = Activation("leaky_relu", 0.01)
-        assert act_forward(a, np.array([2.0]))[0] == 2.0
-        assert act_forward(a, np.array([-2.0]))[0] == pytest.approx(-0.02)
-        assert act_deriv(a, np.array([-2.0]))[0] == 0.01
-        assert act_deriv(a, np.array([0.0]))[0] == 1.0  # right limit at the kink
+        assert a.forward(np.array([2.0]))[0] == 2.0
+        assert a.forward(np.array([-2.0]))[0] == pytest.approx(-0.02)
+        assert a.deriv(np.array([-2.0]))[0] == 0.01
+        assert a.deriv(np.array([0.0]))[0] == 1.0  # right limit at the kink
 
     def test_linear_round_trip_exact(self):
         a = Activation("linear")
         x = make_rng(0).standard_normal(50)
-        assert np.array_equal(act_inverse(a, act_forward(a, x)), x)
+        assert np.array_equal(a.inverse(a.forward(x)), x)
 
     def test_leaky_round_trip(self):
         a = Activation("leaky_relu", 0.01)
         x = make_rng(1).standard_normal(200)
-        assert np.abs(act_inverse(a, act_forward(a, x)) - x).max() < 1e-12
+        assert np.abs(a.inverse(a.forward(x)) - x).max() < 1e-12
 
     def test_bad_slope_rejected(self):
         with pytest.raises(ValueError):

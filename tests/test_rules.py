@@ -6,6 +6,7 @@ from gaitprop import (
     IncrementalConfig,
     Layer,
     Network,
+    augmented_inverse,
     bp_updates,
     correction_matrices,
     forward,
@@ -117,6 +118,21 @@ class TestTpTargets:
             replay = layer.activation.forward(layer.weight @ replay)[:layer.forward_width]
         assert np.abs(replay - t[:, None]).max() < 1e-9
 
+    def test_sign_flips_count_kink_crossings(self, rng):
+        # At depth 2 only the output layer blends, and tp's blended
+        # activation is the target itself: a unit crosses the kink exactly
+        # when its target has the other sign from its activation.
+        net = make_net([10, 8], 5, seed=21)
+        xs = np.column_stack([sample_away_from_kinks(net, rng, margin=1e-2)
+                              for _ in range(3)])
+        trace = forward(net, xs)
+        out = trace.output()
+        assert np.all(tp_targets(net, trace, out).sign_flips == 0)
+        t = 1.5 * out
+        for j in range(3):
+            t[:j, j] = -out[:j, j]      # sample j crosses on j units
+        assert tp_targets(net, trace, t).sign_flips.tolist() == [0, 1, 2]
+
 
 class TestTpUpdates:
     def test_zero_at_fixed_point(self, rng):
@@ -176,13 +192,21 @@ class TestTpUpdates:
 
 class TestItpTargets:
     def test_gamma_one_equals_tp(self, rng):
+        # tp and itp at gamma = 1 share the gap recursion, so both are held
+        # to the independent augmented_inverse chain on a net with
+        # auxiliary units.
         net = make_net([9, 7], 4, seed=7)
         trace = forward(net, rng.uniform(0, 1, 9))
         t = trace.output() + rng.standard_normal((4, 1))
+        reference = [t] * net.depth
+        for l in range(net.depth - 1, 0, -1):
+            reference[l - 1] = augmented_inverse(net.layers[l], reference[l],
+                                                 trace.aux_part(l))
         tp = tp_targets(net, trace, t)
         itp = itp_targets(net, trace, t, IncrementalConfig(gamma=1.0))
-        for a, b in zip(tp.targets, itp.targets):
-            assert np.abs(a - b).max() < 1e-10
+        for ref, a, b in zip(reference, tp.targets, itp.targets):
+            assert np.abs(a - ref).max() < 1e-10
+            assert np.abs(b - ref).max() < 1e-10
 
     def test_fixed_point(self, rng):
         net = make_net([8, 8], 4, seed=8)
