@@ -2,19 +2,21 @@
 
 Subcommands: train, gridsearch, align, equilibrium, datagen,
 checkpoint-inspect. Exit code 0 on success; 2 for configuration problems;
-1 for runtime failures (singular weights, divergence, bad files), always
-with a typed one-line error on stderr.
+1 for runtime failures (singular weights, divergence, bad or unwritable
+files), always with a typed one-line error on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
-from . import linalg
+from . import files, linalg
 from .data import IdxError, synthetic_teacher_quantized, write_idx
+from .diagnostics import write_alignment_csv, write_scatter_csv
 from .dynamics import Divergence
 from .harness import (
     ConfigError,
@@ -80,12 +82,10 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _cmd_gridsearch(args) -> int:
-    import os
     cfg = _resolve_config(args)
     etas = _parse_floats(args.etas) if args.etas else list(DEFAULT_ETAS)
     lambdas = _parse_floats(args.lambdas) if args.lambdas else list(DEFAULT_LAMBDAS)
     result = gridsearch(cfg, etas, lambdas)
-    os.makedirs(args.out, exist_ok=True)
     table = os.path.join(args.out, f"grid_{cfg.rule}.csv")
     write_grid_csv(result, table)
     for (eta, lam), rec in sorted(result.records.items()):
@@ -99,9 +99,12 @@ def _cmd_gridsearch(args) -> int:
 
 def _cmd_align(args) -> int:
     cfg = _resolve_config(args)
-    reports = align_experiment(cfg, args.samples, out_dir=args.out)
+    reports = align_experiment(cfg, args.samples)
     for init, by_rule in reports.items():
         for rule, rep in by_rule.items():
+            stem = os.path.join(args.out, f"align_{init}_{rule}_vs_bp")
+            write_alignment_csv(rep, stem + ".csv")
+            write_scatter_csv(rep, stem + "_scatter.csv")
             cosines = ", ".join("undef" if c is None else f"{c:.6f}"
                                 for c in rep.cosines)
             print(f"{init:>10} {rule}-vs-bp cosines: [{cosines}]")
@@ -110,7 +113,6 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
-    import os
     nus = _parse_floats(args.nus)
     if not all(0.0 <= nu < 1.0 for nu in nus):
         raise ConfigError(f"every nu must lie in [0, 1), got {args.nus!r}")
@@ -118,7 +120,6 @@ def _cmd_equilibrium(args) -> int:
         raise ConfigError(f"dt must lie in (0, 0.1), got {args.dt}")
     rows = equilibrium_sweep(nus, seed=args.seed if args.seed is not None else 0,
                              dt=args.dt)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "equilibrium.csv")
     write_equilibrium_csv(rows, path)
     for r in rows:
@@ -131,15 +132,17 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_datagen(args) -> int:
-    import os
-    side = int(np.sqrt(args.n_in))
-    if side * side != args.n_in:
-        raise ConfigError("n_in must be a perfect square to emit IDX images")
+    side = int(np.sqrt(max(args.n_in, 0)))
+    if args.n_in < 1 or side * side != args.n_in:
+        raise ConfigError("n_in must be a positive perfect square to emit IDX images")
+    if not 1 <= args.classes <= args.n_in or args.depth < 1:
+        raise ConfigError(f"need 1 <= --classes <= {args.n_in} and --depth >= 1")
+    if min(args.train, args.test) < 0:
+        raise ConfigError("--train and --test must be >= 0")
     pixels, labels = synthetic_teacher_quantized(
         args.n_in, args.depth, args.classes, args.train + args.test,
         args.seed if args.seed is not None else 0)
     labels = labels.astype(np.uint8)
-    os.makedirs(args.out, exist_ok=True)
     splits = {"train": slice(0, args.train), "test": slice(args.train, None)}
     for name, sl in splits.items():
         imgs = pixels[sl].reshape(-1, side, side)
@@ -216,6 +219,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        files.make_dir(getattr(args, "out", ""))
         return args.func(args)
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
@@ -231,6 +235,9 @@ def main(argv=None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"error[missing-file]: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error[io]: {exc}", file=sys.stderr)
         return 1
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import files
 from .network import Activation, build_network, forward
 
 IMAGE_MAGIC = 0x00000803
@@ -96,12 +97,10 @@ def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) 
         raise ValueError("images must be (n, rows, cols)")
     if images.shape[0] != labels.shape[0]:
         raise CountMismatch(f"{images.shape[0]} images vs {labels.shape[0]} labels")
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IMAGE_MAGIC, *images.shape))
-        fh.write(images.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", LABEL_MAGIC, labels.shape[0]))
-        fh.write(labels.tobytes())
+    files.write_bytes(images_path,
+                      struct.pack(">IIII", IMAGE_MAGIC, *images.shape) + images.tobytes())
+    files.write_bytes(labels_path,
+                      struct.pack(">II", LABEL_MAGIC, labels.shape[0]) + labels.tobytes())
 
 
 def one_hot_batch(labels: np.ndarray, classes: int) -> np.ndarray:

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import files, linalg
 from .network import Network
 from .rules import UpdateSet
 
@@ -75,22 +74,15 @@ def ortho_drift(net: Network) -> list[float]:
 
 def write_alignment_csv(report: AlignmentReport, path) -> None:
     """Summary CSV: layer, cosine, norm_ratio. Undefined cosines are empty."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "cosine", "norm_ratio"])
-        for l, (c, r) in enumerate(zip(report.cosines, report.norm_ratios)):
-            writer.writerow([
-                l,
-                "" if c is None else f"{c:.12g}",
-                "" if r is None else f"{r:.12g}",
-            ])
+    files.write_csv(path, ["layer", "cosine", "norm_ratio"],
+                    ([l, "" if c is None else f"{c:.12g}",
+                      "" if r is None else f"{r:.12g}"]
+                     for l, (c, r) in enumerate(zip(report.cosines,
+                                                    report.norm_ratios))))
 
 
 def write_scatter_csv(report: AlignmentReport, path) -> None:
     """Scatter CSV: layer, elem_a, elem_b; one row per sampled element."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "elem_a", "elem_b"])
-        for l, pairs in enumerate(report.scatter):
-            for ea, eb in pairs:
-                writer.writerow([l, f"{ea:.12g}", f"{eb:.12g}"])
+    files.write_csv(path, ["layer", "elem_a", "elem_b"],
+                    ([l, f"{ea:.12g}", f"{eb:.12g}"]
+                     for l, pairs in enumerate(report.scatter) for ea, eb in pairs))

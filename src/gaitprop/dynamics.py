@@ -14,7 +14,6 @@ analytic steady state up to roundoff.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,17 +100,3 @@ def equilibria(cfg: CircuitConfig) -> tuple[np.ndarray, np.ndarray, float]:
     y1 = (1.0 + gamma) * np.asarray(cfg.x, dtype=np.float64)
     y1_shifted = y1 + gamma * (w_inv @ np.asarray(cfg.t2, dtype=np.float64))
     return y1, y1_shifted, gamma
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Columns: time, u1_0.., u2_0.. one row per integration step."""
-    n = traj.u1.shape[1]
-    header = ["time"] + [f"u1_{i}" for i in range(n)] + [f"u2_{i}" for i in range(n)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(traj.times.size):
-            row = [f"{traj.times[k]:.9g}"]
-            row += [f"{v:.12g}" for v in traj.u1[k]]
-            row += [f"{v:.12g}" for v in traj.u2[k]]
-            writer.writerow(row)

@@ -8,17 +8,16 @@ config, which is sufficient to reproduce the run.
 
 from __future__ import annotations
 
-import csv
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import __version__, linalg
+from . import __version__, files, linalg
 from .data import Dataset, batches, load_idx, one_hot_batch, synthetic_teacher
-from .diagnostics import AlignmentReport, align, ortho_drift, \
-    write_alignment_csv, write_scatter_csv
+from .diagnostics import AlignmentReport, align, ortho_drift
 from .dynamics import CircuitConfig, Divergence, equilibria, simulate
 from .network import ACTIVATION_KINDS, Activation, Network, build_network, forward, \
     save_checkpoint
@@ -63,7 +62,6 @@ class ExperimentConfig:
     eta: float | None = None       # None -> per-rule stable cell
     lam: float | None = None
     gamma: float = 1e-3
-    scale_updates: bool = True
     reg_mode: str = "mask"
     batch_size: int = 64
     epochs: int = 50
@@ -101,9 +99,9 @@ class ExperimentConfig:
 
     def resolved_init(self) -> str:
         lam = self.resolved_lam()
-        if self.init == "auto":
-            return "xavier" if lam == 0.0 else "orthogonal"
         paired = "xavier" if lam == 0.0 else "orthogonal"
+        if self.init == "auto":
+            return paired
         if self.init != paired and not self.allow_init_mismatch:
             raise ConfigError(
                 f"init={self.init} with lam={lam} breaks the lam/init pairing "
@@ -124,6 +122,11 @@ class ExperimentConfig:
                 raise ConfigError(f"dataset=idx needs paths: {', '.join(missing)}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if min(self.train_samples, self.test_samples) < 0 or self.teacher_depth < 1:
+            raise ConfigError("train_samples and test_samples must be >= 0 "
+                              "and teacher_depth >= 1")
+        if self.init not in ("auto", "orthogonal", "xavier"):
+            raise ConfigError(f"unknown init {self.init!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
         if self.rule == "gait" and self.gamma >= 1.0:
@@ -218,9 +221,6 @@ class RunRecord:
     wall_clock_s: float = 0.0
     version: str = __version__
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     if cfg.dataset == "idx":
@@ -284,11 +284,13 @@ def evaluate(net: Network, ds: Dataset, chunk: int = 2048) -> tuple[float, float
 def train(cfg: ExperimentConfig) -> RunRecord:
     """Full training run; deterministic under (config, seed)."""
     cfg.validate()
+    if cfg.save_checkpoint:
+        files.make_dir(os.path.dirname(cfg.save_checkpoint))
     started = time.perf_counter()
     train_ds, test_ds = _load_datasets(cfg)
     net = build_from_config(cfg)
     state = AdamState(net, eta=cfg.resolved_eta())
-    inc = IncrementalConfig(gamma=cfg.gamma, scale_updates=cfg.scale_updates)
+    inc = IncrementalConfig(gamma=cfg.gamma)
     lam = cfg.resolved_lam()
     # labeled derivation keeps the shuffle stream disjoint from the layer
     # init streams, which are spawned children of the bare seed
@@ -332,19 +334,16 @@ def train(cfg: ExperimentConfig) -> RunRecord:
 
 def write_run_outputs(record: RunRecord, out_dir) -> None:
     """run.json with the full record, epochs.csv with the per-epoch table."""
-    import os
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "run.json"), "w") as fh:
-        json.dump(record.to_dict(), fh, indent=2)
+    files.write_bytes(os.path.join(out_dir, "run.json"),
+                      json.dumps(asdict(record), indent=2).encode())
     n_layers = len(record.epochs[0]["ortho_errors"]) if record.epochs else 0
-    with open(os.path.join(out_dir, "epochs.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_acc", "test_acc", "mean_loss"]
-                        + [f"ortho_err_{i}" for i in range(n_layers)])
-        for e in record.epochs:
-            writer.writerow([e["epoch"], f"{e['train_acc']:.6f}",
-                             f"{e['test_acc']:.6f}", f"{e['mean_loss']:.9g}"]
-                            + [f"{v:.6g}" for v in e["ortho_errors"]])
+    files.write_csv(
+        os.path.join(out_dir, "epochs.csv"),
+        ["epoch", "train_acc", "test_acc", "mean_loss"]
+        + [f"ortho_err_{i}" for i in range(n_layers)],
+        ([e["epoch"], f"{e['train_acc']:.6f}", f"{e['test_acc']:.6f}",
+          f"{e['mean_loss']:.9g}"] + [f"{v:.6g}" for v in e["ortho_errors"]]
+         for e in record.epochs))
 
 
 def _derived_seed(seed: int, label: int) -> int:
@@ -386,26 +385,21 @@ def gridsearch(base: ExperimentConfig, etas, lambdas) -> GridResult:
 
 def write_grid_csv(result: GridResult, path) -> None:
     """Peak/final train-accuracy table: one row per eta, one column per lambda."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eta"] + [f"lambda={lam:g}" for lam in result.lambdas])
-        for eta in result.etas:
-            row = [f"{eta:g}"]
-            for lam in result.lambdas:
-                if (eta, lam) in result.records:
-                    rec = result.records[(eta, lam)]
-                    row.append(f"{100 * rec.peak_train_acc:.2f} / "
-                               f"{100 * rec.final_train_acc:.2f}")
-                else:
-                    row.append(f"failed: {result.failures[(eta, lam)]}")
-            writer.writerow(row)
+    def cell(eta, lam) -> str:
+        rec = result.records.get((eta, lam))
+        if rec is None:
+            return f"failed: {result.failures[(eta, lam)]}"
+        return f"{100 * rec.peak_train_acc:.2f} / {100 * rec.final_train_acc:.2f}"
+
+    files.write_csv(path, ["eta"] + [f"lambda={lam:g}" for lam in result.lambdas],
+                    ([f"{eta:g}"] + [cell(eta, lam) for lam in result.lambdas]
+                     for eta in result.etas))
 
 
-def align_experiment(cfg: ExperimentConfig, n_samples: int, out_dir=None
+def align_experiment(cfg: ExperimentConfig, n_samples: int
                      ) -> dict[str, dict[str, AlignmentReport]]:
     """Alignment of TP and GAIT updates against BP on an untrained network,
-    for both init modes. Returns reports keyed [init][rule]; optionally
-    writes summary and scatter CSVs per comparison."""
+    for both init modes. Returns reports keyed [init][rule]."""
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     train_ds, _ = _load_datasets(cfg)
@@ -413,27 +407,18 @@ def align_experiment(cfg: ExperimentConfig, n_samples: int, out_dir=None
         raise ConfigError(f"only {len(train_ds)} samples available")
     x = train_ds.inputs[:n_samples].T
     t = one_hot_batch(train_ds.labels[:n_samples], train_ds.n_classes)
-    inc = IncrementalConfig(gamma=cfg.gamma, scale_updates=True)
+    inc = IncrementalConfig(gamma=cfg.gamma)
     reports: dict[str, dict[str, AlignmentReport]] = {}
     for init in ("orthogonal", "xavier"):
         net = build_from_config(replace(cfg, init=init, allow_init_mismatch=True))
         trace = forward(net, x)
-        bp = bp_updates(net, trace, t)
-        comparisons = {
-            "tp": tp_updates(trace, tp_targets(net, trace, t)),
-            "gait": gait_updates(trace, gait_targets(net, trace, t, inc), inc),
-        }
+        bp = rule_updates("bp", net, trace, t, inc)
         reports[init] = {}
-        for rule, upd in comparisons.items():
-            rep = align(upd, bp, rng=linalg.make_rng(cfg.seed))
+        for rule in ("tp", "gait"):
+            rep = align(rule_updates(rule, net, trace, t, inc), bp,
+                        rng=linalg.make_rng(cfg.seed))
             rep.ortho_errors = ortho_drift(net)
             reports[init][rule] = rep
-            if out_dir is not None:
-                import os
-                os.makedirs(out_dir, exist_ok=True)
-                stem = os.path.join(out_dir, f"align_{init}_{rule}_vs_bp")
-                write_alignment_csv(rep, stem + ".csv")
-                write_scatter_csv(rep, stem + "_scatter.csv")
     return reports
 
 
@@ -470,12 +455,8 @@ def equilibrium_sweep(nus, seed: int = 0, size: int = 4, tau: float = 1.0,
 
 
 def write_equilibrium_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["nu", "gamma", "err_before_onset", "err_after_onset",
-                         "diverged"])
-        for r in rows:
-            writer.writerow([f"{r['nu']:g}", f"{r['gamma']:.12g}",
-                             f"{r['err_before_onset']:.6g}",
-                             f"{r['err_after_onset']:.6g}",
-                             int(r["diverged"])])
+    files.write_csv(path, ["nu", "gamma", "err_before_onset", "err_after_onset",
+                           "diverged"],
+                    ([f"{r['nu']:g}", f"{r['gamma']:.12g}",
+                      f"{r['err_before_onset']:.6g}", f"{r['err_after_onset']:.6g}",
+                      int(r["diverged"])] for r in rows))

@@ -13,13 +13,12 @@ columns are samples. 1-D inputs are promoted to a single column.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import files, linalg
 
 ACTIVATION_KINDS = ("linear", "leaky_relu")
 
@@ -132,9 +131,6 @@ class Network:
 
     def forward_widths(self) -> list[int]:
         return [layer.forward_width for layer in self.layers]
-
-    def total_widths(self) -> list[int]:
-        return [layer.total_width for layer in self.layers]
 
 
 @dataclass
@@ -283,21 +279,13 @@ class CheckpointError(Exception):
 
 
 def save_checkpoint(net: Network, path) -> None:
-    parent = os.path.dirname(os.fspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack(">II", _CHECKPOINT_VERSION, net.depth))
-        for layer in net.layers:
-            fh.write(struct.pack(
-                ">IIBd",
-                layer.total_width,
-                layer.forward_width,
-                _KIND_CODES[layer.activation.kind],
-                layer.activation.slope,
-            ))
-            fh.write(layer.weight.astype(">f8").tobytes())
+    parts = [_CHECKPOINT_MAGIC, struct.pack(">II", _CHECKPOINT_VERSION, net.depth)]
+    for layer in net.layers:
+        parts.append(struct.pack(">IIBd", layer.total_width, layer.forward_width,
+                                 _KIND_CODES[layer.activation.kind],
+                                 layer.activation.slope))
+        parts.append(layer.weight.astype(">f8").tobytes())
+    files.write_bytes(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> Network:

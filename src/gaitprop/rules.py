@@ -12,8 +12,8 @@ Every rule is one backward recursion ``e_{l-1} = P_l(e_l)`` from
 * bp: ``P_l = W^T (g * pad(.))``, ``s_l = 1``;
 * tp, itp, gait: ``P_l = W^-1`` after the exact inverse-activation
   displacement of ``pad(blend_l * .)``, with blend 1 (tp), gamma (itp) or
-  gamma * g^2 (gait), and ``s_l = gamma^-(top - l)`` for itp and gait when
-  updates are rescaled, else 1.
+  gamma * g^2 (gait), and ``s_l = gamma^-(top - l)`` for itp and gait
+  (1 for tp), which restores bp's update magnitudes layer by layer.
 
 For the target rules ``e_l`` is the gap (forward activation minus target).
 Computing gaps directly matters: a gap at the deepest layer of a
@@ -35,16 +35,16 @@ from .network import ForwardTrace, Network, _as_columns
 
 @dataclass(frozen=True)
 class IncrementalConfig:
-    """Blend factor for incremental targets and update rescaling.
+    """Blend factor for incremental targets.
 
     ``gamma`` is the fraction of the distance toward the target that the
-    blended activation moves per layer; ``scale_updates`` restores update
-    magnitudes by the accumulated gamma^-(depth - layer - 1) factor so they
-    are directly comparable with backprop updates.
+    blended activation moves per layer. itp and gait updates are always
+    rescaled by the accumulated gamma^-(depth - layer - 1) factor: unscaled,
+    a deep layer's update is of order gamma^(depth-1) of bp's, far below
+    Adam's epsilon.
     """
 
     gamma: float = 1e-3
-    scale_updates: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
@@ -201,12 +201,10 @@ def gait_targets(
 
 
 def _target_updates(
-    trace: ForwardTrace, targets: TargetStack, flavor: str,
-    cfg: IncrementalConfig | None = None,
+    trace: ForwardTrace, targets: TargetStack, flavor: str, gamma: float = 1.0
 ) -> UpdateSet:
     if targets.flavor != flavor:
         raise ValueError(f"expected {flavor} targets, got {targets.flavor!r}")
-    gamma = cfg.gamma if cfg is not None and cfg.scale_updates else 1.0
     return _local_updates(trace, targets.gaps, flavor, gamma)
 
 
@@ -219,9 +217,9 @@ def tp_updates(trace: ForwardTrace, targets: TargetStack) -> UpdateSet:
 def itp_updates(
     trace: ForwardTrace, targets: TargetStack, cfg: IncrementalConfig
 ) -> UpdateSet:
-    """Updates from incremental targets; optionally rescaled by
-    gamma^-(depth-1-l) so magnitudes match backprop layer by layer."""
-    return _target_updates(trace, targets, "itp", cfg)
+    """Updates from incremental targets, rescaled by gamma^-(depth-1-l) so
+    magnitudes match backprop layer by layer."""
+    return _target_updates(trace, targets, "itp", cfg.gamma)
 
 
 def gait_updates(
@@ -229,7 +227,7 @@ def gait_updates(
 ) -> UpdateSet:
     """Updates from gradient-adjusted targets, rescaled as for itp_updates.
     With orthogonal weights and no kink crossings these equal bp_updates."""
-    return _target_updates(trace, targets, "gait", cfg)
+    return _target_updates(trace, targets, "gait", cfg.gamma)
 
 
 def loss_to_target(y_out: np.ndarray, loss_gradient: np.ndarray) -> np.ndarray:

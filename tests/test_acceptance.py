@@ -32,7 +32,7 @@ from gaitprop.linalg import make_rng
 from conftest import fd_weight_grad, make_net, quadratic_loss, sample_away_from_kinks
 from test_rules import crafted_kink_family, linear_net, update_chain_f
 
-CFG = IncrementalConfig(gamma=1e-3, scale_updates=True)
+CFG = IncrementalConfig(gamma=1e-3)
 
 MNIST_DIR = Path(os.environ.get("GAITPROP_MNIST_DIR", "data/mnist"))
 MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
@@ -120,7 +120,7 @@ def test_criterion_4_order_of_gamma_convergence():
     instances, x, pins = crafted_kink_family(seed=300)
 
     def mean_deviation(gamma):
-        cfg = IncrementalConfig(gamma=gamma, scale_updates=True)
+        cfg = IncrementalConfig(gamma=gamma)
         total = 0.0
         for (net, t), pin in zip(instances, pins):
             trace = forward(net, x)

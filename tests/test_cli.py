@@ -10,6 +10,12 @@ DESK_ARGS = ["--set", "width=16", "--set", "depth=3", "--set", "classes=4",
              "--set", "epochs=1", "--set", "batch_size=16"]
 
 
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    # main() creates the --out directory, "out" by default, before any work.
+    monkeypatch.chdir(tmp_path)
+
+
 class TestTrainCommand:
     def test_runs_and_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -133,6 +139,13 @@ class TestDatagenAndInspect:
     ["gridsearch", "--etas", "1e-3,x"],
     ["equilibrium", "--nus", "1.5"],
     ["equilibrium", "--dt", "0"],
+    ["train", "--set", "teacher_depth=0"],
+    ["train", "--set", "init=bogus", "--set", "allow_init_mismatch=true"],
+    ["train", "--set", "train_samples=-1"],
+    ["datagen", "--n-in", "16", "--classes", "20"],
+    ["datagen", "--n-in", "-4"],
+    ["datagen", "--depth", "0"],
+    ["datagen", "--train", "-5"],
 ])
 def test_config_mistakes_exit_2(argv, tmp_path, capsys):
     # An exception escaping main() fails this test, as a traceback on
@@ -141,3 +154,27 @@ def test_config_mistakes_exit_2(argv, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error[config]: ")
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("training started before the output path was checked")
+
+
+@pytest.mark.parametrize("patched,argv", [
+    ("gaitprop.cli.train", ["--out", "{file}"]),
+    ("gaitprop.harness.forward",
+     ["--out", "{dir}", "--set", "save_checkpoint={file}/x.ckpt"]),
+])
+def test_unwritable_output_fails_before_training(patched, argv, tmp_path,
+                                                 monkeypatch, capsys):
+    # A regular file where a directory must go cannot be written into; the
+    # run must say so before it trains, not after.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    monkeypatch.setattr(patched, _no_training)
+    argv = [a.format(file=blocker, dir=tmp_path / "out") for a in argv]
+    code = main(["train"] + argv + DESK_ARGS)
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error[io]: ")
+    assert blocker.read_text() == "keep"

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -9,7 +7,6 @@ from gaitprop.dynamics import (
     Divergence,
     equilibria,
     simulate,
-    write_trajectory_csv,
 )
 from gaitprop.linalg import make_rng
 
@@ -153,14 +150,3 @@ class TestConfigValidation:
         with pytest.raises(SingularMatrix):
             simulate(cfg)
 
-
-class TestTrajectoryCsv:
-    def test_header_and_rows(self, tmp_path):
-        cfg = circuit(np.eye(2), 0.1, [1.0, 2.0], [0.0, 0.0],
-                      duration=1.0, dt=0.01, onset=0.5)
-        traj = simulate(cfg)
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
-        rows = list(csv.reader(path.open()))
-        assert rows[0] == ["time", "u1_0", "u1_1", "u2_0", "u2_1"]
-        assert len(rows) == traj.times.size + 1

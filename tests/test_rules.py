@@ -31,7 +31,7 @@ from conftest import (
     sample_away_from_kinks,
 )
 
-CFG = IncrementalConfig(gamma=1e-3, scale_updates=True)
+CFG = IncrementalConfig(gamma=1e-3)
 
 
 def linear_net(n, depth, rng, orthogonal=False, classes=None):
@@ -502,7 +502,7 @@ class TestCorrectionMatrices:
         instances, x, pins = crafted_kink_family(seed=300)
 
         def mean_deviation(gamma):
-            cfg = IncrementalConfig(gamma=gamma, scale_updates=True)
+            cfg = IncrementalConfig(gamma=gamma)
             total = 0.0
             for (net, t), pin in zip(instances, pins):
                 trace = forward(net, x)
