@@ -113,13 +113,10 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
-    nus = _parse_floats(args.nus)
-    if not all(0.0 <= nu < 1.0 for nu in nus):
-        raise ConfigError(f"every nu must lie in [0, 1), got {args.nus!r}")
-    if not 0.0 < args.dt < 0.1:  # the sweep's tau is 1; the circuit needs dt < tau/10
-        raise ConfigError(f"dt must lie in (0, 0.1), got {args.dt}")
-    rows = equilibrium_sweep(nus, seed=args.seed if args.seed is not None else 0,
-                             dt=args.dt)
+    try:  # the sweep builds, and so checks, every circuit before it runs one
+        rows = equilibrium_sweep(_parse_floats(args.nus), seed=args.seed, dt=args.dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     path = os.path.join(args.out, "equilibrium.csv")
     write_equilibrium_csv(rows, path)
     for r in rows:
@@ -135,13 +132,13 @@ def _cmd_datagen(args) -> int:
     side = int(np.sqrt(max(args.n_in, 0)))
     if args.n_in < 1 or side * side != args.n_in:
         raise ConfigError("n_in must be a positive perfect square to emit IDX images")
-    if not 1 <= args.classes <= args.n_in or args.depth < 1:
-        raise ConfigError(f"need 1 <= --classes <= {args.n_in} and --depth >= 1")
     if min(args.train, args.test) < 0:
         raise ConfigError("--train and --test must be >= 0")
-    pixels, labels = synthetic_teacher_quantized(
-        args.n_in, args.depth, args.classes, args.train + args.test,
-        args.seed if args.seed is not None else 0)
+    try:  # the teacher and the seed are checked before anything is drawn
+        pixels, labels = synthetic_teacher_quantized(
+            args.n_in, args.depth, args.classes, args.train + args.test, args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     labels = labels.astype(np.uint8)
     splits = {"train": slice(0, args.train), "test": slice(args.train, None)}
     for name, sl in splits.items():
@@ -168,8 +165,13 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line is a config mistake
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gaitprop",
         description="Train and cross-validate invertible MLPs with "
                     "backprop, target propagation, and incremental variants.",
@@ -194,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equilibrium", help="feedback-circuit equilibrium sweep")
     p.add_argument("--nus", default="0,0.1,0.25,0.4")
     p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_equilibrium)
 
@@ -204,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--train", type=int, default=2000)
     p.add_argument("--test", type=int, default=500)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_datagen)
 
@@ -216,9 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         files.make_dir(getattr(args, "out", ""))
         return args.func(args)
     except ConfigError as exc:

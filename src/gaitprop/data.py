@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import files
+from . import files, linalg
 from .network import Activation, build_network, forward
 
 IMAGE_MAGIC = 0x00000803
@@ -113,19 +113,19 @@ def one_hot_batch(labels: np.ndarray, classes: int) -> np.ndarray:
     return out
 
 
-def teacher_network(n_in: int, depth: int, seed: int):
-    """The frozen label-generating network used by synthetic_teacher."""
-    return build_network([n_in] * depth, n_in, Activation("leaky_relu", 0.01),
-                         "orthogonal", seed)
+def check_teacher(n_in: int, depth: int, n_classes: int) -> None:
+    """Raise ValueError unless a teacher of this shape can label n_classes."""
+    if depth < 1 or not 1 <= n_classes <= n_in:
+        raise ValueError(f"need teacher depth >= 1 and 1 <= classes <= n_in = {n_in}")
 
 
 def _teacher_draw(n_in: int, depth: int, n_classes: int, samples: int,
                   rng: np.random.Generator):
-    """The frozen teacher, seeded by the rng's first draw, and the uniform
-    [0, 1] inputs drawn after it."""
-    if n_classes > n_in:
-        raise ValueError("n_classes must not exceed n_in")
-    teacher = teacher_network(n_in, depth, int(rng.integers(0, 2**63 - 1)))
+    """The frozen orthogonal leaky-ReLU teacher, seeded by the rng's first
+    draw, and the uniform [0, 1] inputs drawn after it."""
+    check_teacher(n_in, depth, n_classes)
+    teacher = build_network([n_in] * depth, n_in, Activation("leaky_relu", 0.01),
+                            "orthogonal", int(rng.integers(0, 2**63 - 1)))
     return teacher, rng.uniform(0.0, 1.0, size=(samples, n_in))
 
 
@@ -157,8 +157,7 @@ def synthetic_teacher_quantized(n_in: int, depth: int, n_classes: int,
     reproduces the dataset exactly. Returns (pixels uint8 (n, n_in), labels
     int64).
     """
-    teacher, inputs = _teacher_draw(n_in, depth, n_classes, samples,
-                                    np.random.Generator(np.random.Philox(seed)))
+    teacher, inputs = _teacher_draw(n_in, depth, n_classes, samples, linalg.make_rng(seed))
     pixels = np.clip(np.round(inputs * 255.0), 0, 255).astype(np.uint8)
     return pixels, _teacher_labels(teacher, pixels.astype(np.float64) / 255.0, n_classes)
 

@@ -28,7 +28,6 @@ class AlignmentReport:
     cosines: list[float | None] = field(default_factory=list)
     norm_ratios: list[float | None] = field(default_factory=list)
     scatter: list[np.ndarray] = field(default_factory=list)
-    ortho_errors: list[float] | None = None
 
 
 def align(a: UpdateSet, b: UpdateSet, subsample: int = 2000,

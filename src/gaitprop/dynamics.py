@@ -43,11 +43,11 @@ class CircuitConfig:
         if w.shape[0] != w.shape[1]:
             raise ValueError("circuit weight must be square")
         if not 0.0 <= self.coupling < 1.0:
-            raise ValueError("coupling nu must lie in [0, 1)")
+            raise ValueError(f"coupling nu must lie in [0, 1), got {self.coupling}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if not self.dt < self.tau / 10.0:
-            raise ValueError("dt must be below tau/10 for a stable transient")
+        if not 0.0 < self.dt < self.tau / 10.0:
+            raise ValueError(f"dt must lie in (0, tau/10), got {self.dt}")
         if self.duration <= 0 or not 0 <= self.onset <= self.duration:
             raise ValueError("need 0 <= onset <= duration and duration > 0")
         n = w.shape[0]

@@ -16,10 +16,10 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__, files, linalg
-from .data import Dataset, batches, load_idx, one_hot_batch, synthetic_teacher
+from .data import Dataset, batches, check_teacher, load_idx, one_hot_batch, synthetic_teacher
 from .diagnostics import AlignmentReport, align, ortho_drift
 from .dynamics import CircuitConfig, Divergence, equilibria, simulate
-from .network import ACTIVATION_KINDS, Activation, Network, build_network, forward, \
+from .network import Activation, Network, build_network, check_widths, forward, \
     save_checkpoint
 from .optim import AdamState, adam_step
 from .rules import IncrementalConfig, bp_updates, gait_targets, gait_updates, \
@@ -110,6 +110,7 @@ class ExperimentConfig:
         return self.init
 
     def validate(self) -> None:
+        """Raise ConfigError unless the run can start, before any data loads."""
         if self.rule not in RULES:
             raise ConfigError(f"unknown rule {self.rule!r}; choose from {RULES}")
         if self.dataset not in ("synthetic", "idx"):
@@ -122,28 +123,28 @@ class ExperimentConfig:
                 raise ConfigError(f"dataset=idx needs paths: {', '.join(missing)}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if min(self.train_samples, self.test_samples) < 0 or self.teacher_depth < 1:
-            raise ConfigError("train_samples and test_samples must be >= 0 "
-                              "and teacher_depth >= 1")
+        if min(self.train_samples, self.test_samples) < 0:
+            raise ConfigError("train_samples and test_samples must be >= 0")
         if self.init not in ("auto", "orthogonal", "xavier"):
             raise ConfigError(f"unknown init {self.init!r}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
         if self.rule == "gait" and self.gamma >= 1.0:
             raise ConfigError("rule=gait needs gamma < 1 (its blend is gamma * gain^2)")
-        if self.activation not in ACTIVATION_KINDS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.activation == "leaky_relu" and not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.reg_mode not in ("mask", "product"):
             raise ConfigError(f"unknown reg_mode {self.reg_mode!r}")
-        if not self.resolved_eta() > 0.0 or not self.resolved_lam() >= 0.0:
-            raise ConfigError("eta must be > 0 and lam >= 0")
+        eta, lam = self.resolved_eta(), self.resolved_lam()
+        if not (0.0 < eta < np.inf and 0.0 <= lam < np.inf):
+            raise ConfigError(f"eta must lie in (0, inf) and lam in [0, inf), "
+                              f"got eta={eta}, lam={lam}")
         widths = self.resolved_widths()
-        if not widths or min(widths) < 1 or list(widths) != sorted(widths, reverse=True):
-            raise ConfigError(f"widths {widths} must be >= 1 and non-increasing")
-        if not 1 <= self.classes <= widths[-1]:
-            raise ConfigError("classes must fit in the last layer width")
+        try:  # each range that a library object enforces is checked by that object
+            IncrementalConfig(gamma=self.gamma)
+            Activation(self.activation, self.alpha)
+            check_widths(widths, self.classes)
+            check_teacher(widths[0], self.teacher_depth, self.classes)
+            linalg.make_rng(self.seed)
+            linalg.make_rng(self.data_seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         self.resolved_init()
 
     def to_dict(self) -> dict:
@@ -246,10 +247,9 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 
 def build_from_config(cfg: ExperimentConfig) -> Network:
-    act = Activation(cfg.activation, cfg.alpha) if cfg.activation == "leaky_relu" \
-        else Activation("linear")
-    return build_network(list(cfg.resolved_widths()), cfg.classes, act,
-                         cfg.resolved_init(), cfg.seed)
+    return build_network(list(cfg.resolved_widths()), cfg.classes,
+                         Activation(cfg.activation, cfg.alpha), cfg.resolved_init(),
+                         cfg.seed)
 
 
 def rule_updates(rule: str, net: Network, trace, t_out, inc: IncrementalConfig):
@@ -302,17 +302,21 @@ def train(cfg: ExperimentConfig) -> RunRecord:
             trace = forward(net, x)
             batch_loss = 0.5 * np.sum((trace.output() - t) ** 2) / x.shape[1]
             if not np.isfinite(batch_loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, rule {cfg.rule}"
-                )
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, rule {cfg.rule}")
             updates = rule_updates(cfg.rule, net, trace, t, inc)
             if lam > 0.0:
                 for i, layer in enumerate(net.layers):
                     updates.deltas[i] = updates.deltas[i] - ortho_reg_grad(
                         layer.weight, lam, cfg.reg_mode)
-            adam_step(state, net, updates)
+            try:
+                adam_step(state, net, updates)
+            except ValueError:  # the weight setter rejects non-finite entries
+                raise TrainingDiverged(
+                    f"non-finite weights at epoch {epoch}, rule {cfg.rule}") from None
         train_acc, train_loss = evaluate(net, train_ds)
-        test_acc, _ = evaluate(net, test_ds)
+        test_acc, test_loss = evaluate(net, test_ds)
+        if not np.isfinite(train_loss + test_loss):
+            raise TrainingDiverged(f"non-finite loss after epoch {epoch}, rule {cfg.rule}")
         record.epochs.append({
             "epoch": epoch,
             "train_acc": train_acc,
@@ -346,12 +350,8 @@ def write_run_outputs(record: RunRecord, out_dir) -> None:
          for e in record.epochs))
 
 
-def _derived_seed(seed: int, label: int) -> int:
-    return int(np.random.SeedSequence([seed, label]).generate_state(1)[0])
-
-
-def _cell_seed(seed: int, i: int, j: int) -> int:
-    return int(np.random.SeedSequence([seed, i, j]).generate_state(1)[0])
+def _derived_seed(seed: int, *labels: int) -> int:
+    return int(np.random.SeedSequence([seed, *labels]).generate_state(1)[0])
 
 
 @dataclass
@@ -365,21 +365,23 @@ class GridResult:
 def gridsearch(base: ExperimentConfig, etas, lambdas) -> GridResult:
     """Cross-product sweep over learning rate and regularizer strength.
 
-    Cells are seeded independently but reproducibly from the base seed; a
-    failing run is recorded and the sweep continues.
+    Cells are seeded independently but reproducibly from the base seed, and
+    all are validated before any trains; a failing run is recorded and the
+    sweep continues.
     """
-    etas = list(etas)
-    lambdas = list(lambdas)
+    etas, lambdas = list(etas), list(lambdas)
     if not etas or not lambdas:
         raise ConfigError("gridsearch needs non-empty eta and lambda lists")
+    cells = {(eta, lam): replace(base, eta=eta, lam=lam, seed=_derived_seed(base.seed, i, j))
+             for i, eta in enumerate(etas) for j, lam in enumerate(lambdas)}
+    for cfg in cells.values():
+        cfg.validate()
     result = GridResult(etas=etas, lambdas=lambdas)
-    for i, eta in enumerate(etas):
-        for j, lam in enumerate(lambdas):
-            cfg = replace(base, eta=eta, lam=lam, seed=_cell_seed(base.seed, i, j))
-            try:
-                result.records[(eta, lam)] = train(cfg)
-            except (TrainingDiverged, linalg.SingularMatrix) as exc:
-                result.failures[(eta, lam)] = f"{type(exc).__name__}: {exc}"
+    for cell, cfg in cells.items():
+        try:
+            result.records[cell] = train(cfg)
+        except (TrainingDiverged, linalg.SingularMatrix) as exc:
+            result.failures[cell] = f"{type(exc).__name__}: {exc}"
     return result
 
 
@@ -415,10 +417,8 @@ def align_experiment(cfg: ExperimentConfig, n_samples: int
         bp = rule_updates("bp", net, trace, t, inc)
         reports[init] = {}
         for rule in ("tp", "gait"):
-            rep = align(rule_updates(rule, net, trace, t, inc), bp,
-                        rng=linalg.make_rng(cfg.seed))
-            rep.ortho_errors = ortho_drift(net)
-            reports[init][rule] = rep
+            reports[init][rule] = align(rule_updates(rule, net, trace, t, inc), bp,
+                                        rng=linalg.make_rng(cfg.seed))
     return reports
 
 
@@ -436,12 +436,14 @@ def equilibrium_sweep(nus, seed: int = 0, size: int = 4, tau: float = 1.0,
     w = u @ np.diag(rng.uniform(0.5, 2.0, size)) @ v
     x = rng.standard_normal(size)
     t2 = rng.standard_normal(size)
+    circuits = [CircuitConfig(weight=w, coupling=float(nu), tau=tau, x=x, t2=t2,
+                              dt=dt, duration=duration, onset=onset) for nu in nus]
+    if not circuits:
+        raise ConfigError("the equilibrium sweep needs a non-empty nu list")
     rows = []
-    for nu in nus:
-        cfg = CircuitConfig(weight=w, coupling=float(nu), tau=tau, x=x, t2=t2,
-                            dt=dt, duration=duration, onset=onset)
+    for cfg in circuits:
         y1, y1_shifted, gamma = equilibria(cfg)
-        row = {"nu": float(nu), "gamma": gamma, "diverged": False,
+        row = {"nu": cfg.coupling, "gamma": gamma, "diverged": False,
                "err_before_onset": float("nan"), "err_after_onset": float("nan")}
         try:
             traj = simulate(cfg)

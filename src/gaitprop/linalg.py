@@ -23,6 +23,8 @@ class SingularMatrix(Exception):
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator; same seed gives the same stream everywhere."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -82,8 +84,6 @@ def orthogonal_init(n: int, rng: np.random.Generator) -> np.ndarray:
     QR of a standard Gaussian matrix; the R diagonal signs are folded into Q
     so the factorization (and hence the draw) is unique.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     g = rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     d = np.sign(np.diag(r))
@@ -93,8 +93,6 @@ def orthogonal_init(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def xavier_init(n_rows: int, n_cols: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw on +-sqrt(6 / (n_rows + n_cols))."""
-    if n_rows < 1 or n_cols < 1:
-        raise ValueError("dimensions must be >= 1")
     bound = np.sqrt(6.0 / (n_rows + n_cols))
     return rng.uniform(-bound, bound, size=(n_rows, n_cols))
 

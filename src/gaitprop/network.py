@@ -20,9 +20,6 @@ import numpy as np
 
 from . import files, linalg
 
-ACTIVATION_KINDS = ("linear", "leaky_relu")
-
-
 @dataclass(frozen=True)
 class Activation:
     """Strictly increasing elementwise nonlinearity, invertible on all reals.
@@ -36,10 +33,10 @@ class Activation:
     slope: float = 0.01
 
     def __post_init__(self):
-        if self.kind not in ACTIVATION_KINDS:
+        if self.kind not in ("linear", "leaky_relu"):
             raise ValueError(f"unknown activation kind {self.kind!r}")
         if self.kind == "leaky_relu" and not 0.0 < self.slope < 1.0:
-            raise ValueError("leaky_relu slope must lie in (0, 1)")
+            raise ValueError(f"leaky_relu slope (alpha) must lie in (0, 1), got {self.slope}")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "linear":
@@ -225,6 +222,15 @@ def augmented_inverse(layer: Layer, target_forward: np.ndarray, trace_aux: np.nd
     return inverse_layer(layer, full)
 
 
+def check_widths(total_widths, output_width: int) -> None:
+    """Raise ValueError unless widths are >= 1, non-increasing and fit output_width."""
+    widths = list(total_widths)
+    if not widths or min(widths) < 1 or widths != sorted(widths, reverse=True):
+        raise ValueError(f"widths {tuple(widths)} must be >= 1 and non-increasing")
+    if not 1 <= output_width <= widths[-1]:
+        raise ValueError(f"output width (classes) {output_width} must lie in [1, {widths[-1]}]")
+
+
 def build_network(
     total_widths: list[int],
     output_width: int,
@@ -239,13 +245,7 @@ def build_network(
     its own child RNG stream, so adding layers does not perturb the draws
     of earlier ones.
     """
-    if not total_widths:
-        raise ValueError("need at least one layer width")
-    if not 1 <= output_width <= total_widths[-1]:
-        raise ValueError("output_width out of range for the last layer")
-    for i in range(len(total_widths) - 1):
-        if total_widths[i + 1] > total_widths[i]:
-            raise ValueError("total widths must be non-increasing (aux_width >= 0)")
+    check_widths(total_widths, output_width)
     if init not in ("orthogonal", "xavier"):
         raise ValueError(f"unknown init {init!r}")
 

@@ -2,6 +2,7 @@ import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gaitprop.cli import main
 
@@ -146,6 +147,18 @@ class TestDatagenAndInspect:
     ["datagen", "--n-in", "-4"],
     ["datagen", "--depth", "0"],
     ["datagen", "--train", "-5"],
+    ["train", "--set", "seed=-1"],
+    ["train", "--set", "data_seed=-1"],
+    ["train", "--seed", "-1"],
+    ["datagen", "--seed", "-1"],
+    ["equilibrium", "--seed", "-1"],
+    ["train", "--set", "lam=inf"],
+    ["train", "--set", "eta=inf"],
+    ["gridsearch", "--lambdas", "inf"],
+    ["equilibrium", "--dt", "-0.01"],
+    ["equilibrium", "--nus", ""],
+    ["equilibrium", "--nus", ","],
+    ["train", "--seed", "junk"],
 ])
 def test_config_mistakes_exit_2(argv, tmp_path, capsys):
     # An exception escaping main() fails this test, as a traceback on
@@ -178,3 +191,71 @@ def test_unwritable_output_fails_before_training(patched, argv, tmp_path,
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error[io]: ")
     assert blocker.read_text() == "keep"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("override", ["eta=1e300", "lam=1e308"])
+def test_divergence_exits_1(override, tmp_path, capsys):
+    # One batch: with eta=1e300 only the epoch-end loss is non-finite; with
+    # lam=1e308 the regularizer makes Adam write non-finite weights.
+    argv = DESK_ARGS + ["--set", "train_samples=64", "--set", "batch_size=64"]
+    code = main(["train", "--out", str(tmp_path / "out"), "--set", override] + argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error[divergence]: ")
+    assert not (tmp_path / "out" / "run.json").exists()
+
+
+# Half the draws are out-of-range, non-finite, huge or malformed; half are
+# small values that most flags accept.
+VALUES = st.one_of(st.sampled_from(["-1", "inf", "nan", "1e308", "junk", ""]),
+                   st.sampled_from(["0", "1", "2", "0.05"]))
+VALUE_LISTS = st.lists(VALUES, max_size=2).map(",".join)
+SET_KEYS = ["width", "depth", "classes", "alpha", "eta", "lam", "gamma", "batch_size",
+            "epochs", "seed", "data_seed", "teacher_depth", "train_samples", "test_samples"]
+SMALL_DESK = ["--set", "width=8", "--set", "depth=2", "--set", "classes=2",
+              "--set", "train_samples=32", "--set", "test_samples=8",
+              "--set", "batch_size=16", "--set", "epochs=1"]
+
+
+def _flags(names, values=VALUES):
+    pairs = st.lists(st.tuples(st.sampled_from(names), values), max_size=3,
+                     unique_by=lambda pair: pair[0])
+    return pairs.map(lambda ps: [item for pair in ps for item in pair])
+
+
+def _sets(keys):
+    pairs = st.lists(st.tuples(st.sampled_from(keys), VALUES), min_size=1, max_size=2)
+    return pairs.map(lambda ps: [a for key, value in ps for a in ("--set", f"{key}={value}")])
+
+
+COMMANDS = st.one_of(
+    st.tuples(st.just(["train"] + SMALL_DESK), _sets(SET_KEYS), _flags(["--seed"])),
+    # The two axes of the paper's sweep, where 1e308 runs and diverges.
+    st.tuples(st.just(["train"] + SMALL_DESK), _sets(["eta", "lam"])),
+    st.tuples(st.just(["gridsearch"] + SMALL_DESK),
+              _flags(["--etas", "--lambdas", "--seed"], VALUE_LISTS)),
+    # Drawn flags override the leading ones, which keep a sweep that runs
+    # to one coupling of 2600 Euler steps.
+    st.tuples(st.just(["equilibrium", "--nus", "0.25", "--dt", "0.05"]),
+              _flags(["--nus"], VALUE_LISTS), _flags(["--dt", "--seed"])),
+    st.tuples(st.just(["datagen", "--train", "32", "--test", "8"]),
+              _flags(["--n-in", "--depth", "--classes", "--train", "--test", "--seed"])),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=COMMANDS)
+def test_every_input_honours_the_exit_contract(argv, tmp_path, capsys):
+    # Every example writes into the same directory; later ones overwrite it.
+    capsys.readouterr()
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error[")
+        assert (code == 2) == lines[0].startswith("error[config]: ")

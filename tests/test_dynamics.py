@@ -139,6 +139,9 @@ class TestConfigValidation:
     def test_rejects_large_dt(self):
         with pytest.raises(ValueError, match="dt"):
             circuit(np.eye(2), 0.1, np.zeros(2), np.zeros(2), dt=0.2, tau=1.0)
+        for dt in (0.0, -0.01):
+            with pytest.raises(ValueError, match="dt"):
+                circuit(np.eye(2), 0.1, np.zeros(2), np.zeros(2), dt=dt, tau=1.0)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="vectors"):
