@@ -40,8 +40,6 @@ class CircuitConfig:
 
     def __post_init__(self):
         w = linalg.as_matrix(self.weight)
-        if w.shape[0] != w.shape[1]:
-            raise ValueError("circuit weight must be square")
         if not 0.0 <= self.coupling < 1.0:
             raise ValueError(f"coupling nu must lie in [0, 1), got {self.coupling}")
         if self.tau <= 0:

@@ -34,18 +34,16 @@ def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
 
 
 def as_matrix(values) -> np.ndarray:
-    """Validate and return a float64 2-D matrix.
+    """Validate and return a float64 non-empty square matrix.
 
-    Rejects empty shapes and non-finite entries so that bad values fail at
-    construction instead of deep inside a product chain.
+    Rejects non-finite entries and empty or non-square shapes so that bad
+    values fail at construction instead of deep inside a product chain.
     """
     m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"matrix dimensions must be >= 1, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
     return m
 
 
@@ -57,9 +55,7 @@ def invert(m: np.ndarray) -> np.ndarray:
     Newton-Schulz correction step is applied to tighten the residual
     ``max|m @ inv(m) - I|`` for ill-conditioned inputs.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"invert expects a square matrix, got {m.shape}")
+    m = as_matrix(m)
     scale = np.abs(m).max()
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
@@ -99,7 +95,5 @@ def xavier_init(n_rows: int, n_cols: int, rng: np.random.Generator) -> np.ndarra
 
 def orthogonality_error(w: np.ndarray) -> float:
     """Frobenius norm of W W^T - I; zero iff rows are orthonormal."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"expected a square matrix, got {w.shape}")
+    w = as_matrix(w)
     return float(np.linalg.norm(w @ w.T - np.eye(w.shape[0])))

@@ -64,8 +64,6 @@ class Layer:
 
     def __init__(self, weight: np.ndarray, activation: Activation, forward_width: int):
         weight = linalg.as_matrix(weight)
-        if weight.shape[0] != weight.shape[1]:
-            raise ValueError(f"layer weight must be square, got {weight.shape}")
         if not 1 <= forward_width <= weight.shape[0]:
             raise ValueError(
                 f"forward_width {forward_width} out of range for width {weight.shape[0]}"
@@ -314,8 +312,14 @@ def load_checkpoint(path) -> Network:
             raise CheckpointError(f"truncated at layer {i} weights")
         w = np.frombuffer(blob, dtype=">f8", count=total * total, offset=offset)
         offset += n_bytes
-        act = Activation(_KIND_NAMES[kind_code], slope)
-        layers.append(Layer(w.reshape(total, total).astype(np.float64), act, fwd))
+        try:  # the stored values are checked by the objects they build
+            act = Activation(_KIND_NAMES[kind_code], slope)
+            layers.append(Layer(w.reshape(total, total).astype(np.float64), act, fwd))
+        except ValueError as exc:
+            raise CheckpointError(f"layer {i}: {exc}") from None
     if offset != len(blob):
         raise CheckpointError(f"{len(blob) - offset} trailing bytes")
-    return Network(layers)
+    try:
+        return Network(layers)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from None

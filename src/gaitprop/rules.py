@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .network import ForwardTrace, Network, _as_columns
 
 
@@ -250,9 +251,7 @@ def ortho_penalty(w: np.ndarray, lam: float, mode: str = "mask") -> float:
     diagonal of W W^T (the reading that directly penalizes row cross
     products); ``mode="product"`` reads it as a matrix product.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("penalty expects a square matrix")
+    w = linalg.as_matrix(w)
     gram = w @ w.T
     k = 1.0 - np.eye(w.shape[0])
     if mode == "mask":
@@ -266,9 +265,7 @@ def ortho_penalty(w: np.ndarray, lam: float, mode: str = "mask") -> float:
 
 def ortho_reg_grad(w: np.ndarray, lam: float, mode: str = "mask") -> np.ndarray:
     """Gradient of ortho_penalty with respect to W (same mode semantics)."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("gradient expects a square matrix")
+    w = linalg.as_matrix(w)
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     if lam == 0.0:

@@ -1,10 +1,14 @@
 import csv
 import json
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from gaitprop import save_checkpoint
 from gaitprop.cli import main
+
+from conftest import make_net
 
 DESK_ARGS = ["--set", "width=16", "--set", "depth=3", "--set", "classes=4",
              "--set", "train_samples=120", "--set", "test_samples=40",
@@ -126,6 +130,33 @@ class TestDatagenAndInspect:
         assert "error[CheckpointError]" in capsys.readouterr().err
 
 
+# Byte offsets into a checkpoint of a 16-16-16 net: the header is 12
+# bytes and each layer header 17 (total u32, forward u32, kind u8, slope f64).
+BAD_CHECKPOINT_VALUES = {
+    "nan_weight": (12 + 17, ">d", float("nan")),
+    "slope_2": (12 + 9, ">d", 2.0),
+    "forward_width_0": (12 + 4, ">I", 0),
+    "forward_width_above_total": (12 + 4, ">I", 17),
+    "zero_layers": (8, ">I", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINT_VALUES))
+def test_inspect_bad_stored_value(case, tmp_path, capsys):
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(make_net([16] * 3, 4), ckpt)
+    offset, fmt, value = BAD_CHECKPOINT_VALUES[case]
+    blob = bytearray(ckpt.read_bytes())
+    struct.pack_into(fmt, blob, offset, value)
+    if case == "zero_layers":
+        del blob[12:]
+    ckpt.write_bytes(bytes(blob))
+    code = main(["checkpoint-inspect", str(ckpt)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error[CheckpointError]: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--set", "width=abc"],
     ["train", "--set", "widths=8,x"],
@@ -193,7 +224,7 @@ def test_unwritable_output_fails_before_training(patched, argv, tmp_path,
     assert blocker.read_text() == "keep"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("override", ["eta=1e300", "lam=1e308"])
 def test_divergence_exits_1(override, tmp_path, capsys):
     # One batch: with eta=1e300 only the epoch-end loss is non-finite; with
@@ -244,7 +275,7 @@ COMMANDS = st.one_of(
 ).map(lambda parts: [arg for part in parts for arg in part])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=COMMANDS)

@@ -69,9 +69,8 @@ class TestConfigParsing:
         assert ExperimentConfig(rule="tp").resolved_lam() == 1000.0
 
     def test_init_pairing_enforced(self):
-        cfg = ExperimentConfig(rule="gait", init="xavier")  # lam defaults to 0.1
         with pytest.raises(ConfigError, match="pairing"):
-            cfg.resolved_init()
+            ExperimentConfig(rule="gait", init="xavier")  # lam defaults to 0.1
         ok = ExperimentConfig(rule="gait", init="xavier", allow_init_mismatch=True)
         assert ok.resolved_init() == "xavier"
 
@@ -99,6 +98,15 @@ class TestConfigParsing:
         assert d["eta"] == 1e-5
         assert d["init"] == "orthogonal"
         assert d["widths"] == [784] * 5
+
+    @pytest.mark.parametrize("build", [
+        lambda: ExperimentConfig(rule="bogus"),
+        lambda: ExperimentConfig(gamma=0),
+        lambda: replace(DESK, lam=float("inf")),
+    ], ids=["rule", "gamma", "replace_lam"])
+    def test_checked_when_built(self, build):
+        with pytest.raises(ConfigError):
+            build()
 
     def test_idx_dataset_requires_paths(self):
         with pytest.raises(ConfigError, match="paths"):
@@ -133,7 +141,7 @@ class TestTrain:
         assert rows[0][:4] == ["epoch", "train_acc", "test_acc", "mean_loss"]
         assert len(rows) == 3
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self):
         with pytest.raises(TrainingDiverged):
             train(replace(TINY, rule="bp", eta=1e150, epochs=3))
@@ -193,14 +201,14 @@ class TestGridsearch:
                                seed=_derived_seed(TINY.seed, 0, 0)))
         assert rec.epochs == direct.epochs
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failures_recorded_not_fatal(self):
         result = gridsearch(replace(TINY, epochs=3),
                             etas=[1e150, 1e-3], lambdas=[0.0])
         assert (1e150, 0.0) in result.failures
         assert (1e-3, 0.0) in result.records
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_on_any_step_fails_the_cell(self):
         # One batch: with eta=1e300 only the epoch-end loss is non-finite;
         # with lam=1e308 the regularizer makes Adam write non-finite weights.
@@ -233,6 +241,11 @@ class TestAlignExperiment:
         for by_rule in reports.values():
             for rep in by_rule.values():
                 assert len(rep.cosines) == 3
+
+    def test_bad_config_fails_before_data_loads(self, monkeypatch):
+        monkeypatch.setattr(harness, "_load_datasets", _no_training)
+        with pytest.raises(ConfigError, match="gamma"):
+            align_experiment(replace(TINY, gamma=2.0), n_samples=4)
 
     def test_too_many_samples_rejected(self):
         with pytest.raises(ConfigError, match="available"):

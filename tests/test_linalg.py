@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gaitprop import Activation, Layer, ortho_penalty, ortho_reg_grad
+from gaitprop.dynamics import CircuitConfig
 from gaitprop.linalg import (
     SingularMatrix,
     as_matrix,
@@ -145,3 +147,18 @@ class TestAsMatrix:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             as_matrix(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("consumer", [
+        as_matrix,
+        invert,
+        orthogonality_error,
+        lambda w: ortho_penalty(w, 1.0),
+        lambda w: ortho_reg_grad(w, 1.0),
+        lambda w: Layer(w, Activation(), 2),
+        lambda w: CircuitConfig(weight=w, coupling=0.25, tau=1.0, x=np.zeros(2),
+                                t2=np.zeros(2), dt=0.01, duration=1.0, onset=0.5),
+    ], ids=["as_matrix", "invert", "orthogonality_error", "ortho_penalty",
+            "ortho_reg_grad", "Layer", "CircuitConfig"])
+    def test_is_the_one_square_check(self, consumer):
+        with pytest.raises(ValueError, match="non-empty square matrix"):
+            consumer(np.ones((2, 3)))

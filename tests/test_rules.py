@@ -286,6 +286,23 @@ class TestGaitBpEquivalence:
                 assert rel < 1e-9
         assert checked >= 4  # flip-free samples must dominate at gamma = 1e-3
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_machine_precision_at_width(self, seed):
+        # The README's gait = bp "to about 1e-15" at a realistic width: the
+        # inverses' Newton correction keeps the error near 3e-15 here; without
+        # it the error grows to about 2e-14.
+        rng = make_rng(seed)
+        net = make_net([256] * 5, 10, seed=seed)
+        trace = forward(net, rng.uniform(0, 1, (256, 8)))
+        t = trace.output() + rng.normal(0, 0.5, (10, 8))
+        stack = gait_targets(net, trace, t, CFG)
+        assert np.all(stack.sign_flips == 0)
+        bp = bp_updates(net, trace, t)
+        gait = gait_updates(trace, stack, CFG)
+        for l in range(net.depth):
+            rel = np.abs(gait.deltas[l] - bp.deltas[l]).max() / np.abs(bp.deltas[l]).max()
+            assert rel < 1e-14
+
     def test_single_layer_scaled_gait_equals_bp(self, rng):
         net = make_net([10], 6, seed=12)
         trace = forward(net, rng.uniform(0, 1, 10))
