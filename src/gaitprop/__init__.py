@@ -20,10 +20,8 @@ from .network import (  # noqa: F401
     ForwardTrace,
     Layer,
     Network,
-    augmented_inverse,
     build_network,
     forward,
-    inverse_layer,
     load_checkpoint,
     save_checkpoint,
 )
@@ -37,7 +35,6 @@ from .rules import (  # noqa: F401
     gait_updates,
     itp_targets,
     itp_updates,
-    loss_to_target,
     ortho_penalty,
     ortho_reg_grad,
     tp_targets,

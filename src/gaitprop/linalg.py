@@ -8,13 +8,10 @@ independent of the order in which they are drawn.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg as _sla
 
-# Relative pivot threshold below which a matrix is treated as singular.
-SINGULAR_PIVOT_RTOL = 1e-12
+# 1-norm reciprocal condition number below which a matrix is treated as singular.
+SINGULAR_RCOND = 1e-12
 
 
 class SingularMatrix(Exception):
@@ -48,28 +45,26 @@ def as_matrix(values) -> np.ndarray:
 
 
 def invert(m: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix via pivoted LU.
+    """Inverse of a square matrix via LAPACK's pivoted LU in numpy.
 
-    A matrix is rejected as singular when any U-factor pivot falls below
-    ``SINGULAR_PIVOT_RTOL`` times the largest entry magnitude. One
-    Newton-Schulz correction step is applied to tighten the residual
+    A matrix is rejected as singular when the LU meets an exact zero pivot,
+    or when the 1-norm reciprocal condition number
+    ``1 / (|m|_1 |inv(m)|_1)`` is non-finite or below ``SINGULAR_RCOND``.
+    One Newton-Schulz correction step is applied to tighten the residual
     ``max|m @ inv(m) - I|`` for ill-conditioned inputs.
     """
     m = as_matrix(m)
-    scale = np.abs(m).max()
-    if scale == 0.0:
-        raise SingularMatrix("zero matrix")
-    with warnings.catch_warnings():
-        # A zero pivot is reported through our own SingularMatrix below.
-        warnings.simplefilter("ignore", _sla.LinAlgWarning)
-        lu, piv = _sla.lu_factor(m, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(lu)) or pivots.min() < SINGULAR_PIVOT_RTOL * scale:
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("exact zero pivot in the LU factorization") from None
+    with np.errstate(all="ignore"):  # an overflow here is reported as rcond 0
+        rcond = 1.0 / (np.linalg.norm(m, 1) * np.linalg.norm(inv, 1))
+    if not np.isfinite(rcond) or rcond < SINGULAR_RCOND:
         raise SingularMatrix(
-            f"pivot {pivots.min():.3e} below {SINGULAR_PIVOT_RTOL:.0e} * max|entry|"
+            f"reciprocal condition number {rcond:.3e} below {SINGULAR_RCOND:.0e}"
         )
     eye = np.eye(m.shape[0])
-    inv = _sla.lu_solve((lu, piv), eye, check_finite=False)
     inv = inv + inv @ (eye - m @ inv)
     return inv
 

@@ -43,11 +43,6 @@ class Activation:
             return np.asarray(x, dtype=np.float64).copy()
         return np.where(x >= 0, x, self.slope * x)
 
-    def inverse(self, y: np.ndarray) -> np.ndarray:
-        if self.kind == "linear":
-            return np.asarray(y, dtype=np.float64).copy()
-        return np.where(y >= 0, y, y / self.slope)
-
     def deriv(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "linear":
             return np.ones_like(np.asarray(x, dtype=np.float64))
@@ -197,27 +192,6 @@ def forward(net: Network, x: np.ndarray) -> ForwardTrace:
         trace.gains.append(layer.activation.deriv(h))
         cur = a[: layer.forward_width]
     return trace
-
-
-def inverse_layer(layer: Layer, y: np.ndarray) -> np.ndarray:
-    """Exact pre-image of a full activation vector: W^-1 f^-1(y)."""
-    y = _as_columns(y, layer.total_width, "activation")
-    return layer.weight_inv @ layer.activation.inverse(y)
-
-
-def augmented_inverse(layer: Layer, target_forward: np.ndarray, trace_aux: np.ndarray) -> np.ndarray:
-    """Invert a layer given a target only for its forward units.
-
-    The auxiliary coordinates are filled with the activations recorded on
-    the forward pass, which is what makes the square inversion well posed.
-    """
-    target_forward = _as_columns(target_forward, layer.forward_width, "target_forward")
-    trace_aux = _as_columns(trace_aux, layer.aux_width, "trace_aux") if layer.aux_width \
-        else np.zeros((0, target_forward.shape[1]))
-    if trace_aux.shape[1] != target_forward.shape[1]:
-        raise ValueError("target and auxiliary batch sizes differ")
-    full = np.vstack([target_forward, trace_aux])
-    return inverse_layer(layer, full)
 
 
 def check_widths(total_widths, output_width: int) -> None:

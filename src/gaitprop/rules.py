@@ -231,19 +231,6 @@ def gait_updates(
     return _target_updates(trace, targets, "gait", cfg.gamma)
 
 
-def loss_to_target(y_out: np.ndarray, loss_gradient: np.ndarray) -> np.ndarray:
-    """Rewrite an arbitrary output-loss gradient as a quadratic-style target.
-
-    Feeding the returned target to any rule reproduces the gradient of the
-    original loss, since output - target equals the loss gradient.
-    """
-    y = np.asarray(y_out, dtype=np.float64)
-    g = np.asarray(loss_gradient, dtype=np.float64)
-    if y.shape != g.shape:
-        raise ValueError(f"shape mismatch {y.shape} vs {g.shape}")
-    return y - g
-
-
 def ortho_penalty(w: np.ndarray, lam: float, mode: str = "mask") -> float:
     """Row-orthogonality penalty lambda * ||W W^T (J - I)||^2.
 

@@ -1,11 +1,12 @@
 """Shared builders for networks, controlled random matrices, and
-finite-difference oracles."""
+finite-difference and exact-inverse oracles."""
 
 import numpy as np
 import pytest
 
 from gaitprop import Activation, Network, Layer, build_network, forward
 from gaitprop.linalg import make_rng, orthogonal_init
+from gaitprop.network import _as_columns
 
 
 def controlled_matrix(n: int, rng: np.random.Generator,
@@ -58,6 +59,49 @@ def fd_weight_grad(loss_fn, net: Network, layer_idx: int, step: float = 1e-6
             grad[i, j] = (up - down) / (2 * step)
     layer.weight = base
     return grad
+
+
+def activation_inverse(act: Activation, y: np.ndarray) -> np.ndarray:
+    """Exact inverse of a strictly increasing activation, elementwise."""
+    if act.kind == "linear":
+        return np.asarray(y, dtype=np.float64).copy()
+    return np.where(y >= 0, y, y / act.slope)
+
+
+def inverse_layer(layer: Layer, y: np.ndarray) -> np.ndarray:
+    """Exact pre-image of a full activation vector: W^-1 f^-1(y)."""
+    y = _as_columns(y, layer.total_width, "activation")
+    return layer.weight_inv @ activation_inverse(layer.activation, y)
+
+
+def augmented_inverse(layer: Layer, target_forward: np.ndarray,
+                      trace_aux: np.ndarray) -> np.ndarray:
+    """Invert a layer given a target only for its forward units.
+
+    The auxiliary coordinates are filled with the activations recorded on
+    the forward pass, which is what makes the square inversion well posed.
+    The rules' gap recursion is held to this independent chain.
+    """
+    target_forward = _as_columns(target_forward, layer.forward_width, "target_forward")
+    trace_aux = _as_columns(trace_aux, layer.aux_width, "trace_aux") if layer.aux_width \
+        else np.zeros((0, target_forward.shape[1]))
+    if trace_aux.shape[1] != target_forward.shape[1]:
+        raise ValueError("target and auxiliary batch sizes differ")
+    full = np.vstack([target_forward, trace_aux])
+    return inverse_layer(layer, full)
+
+
+def loss_to_target(y_out: np.ndarray, loss_gradient: np.ndarray) -> np.ndarray:
+    """Rewrite an arbitrary output-loss gradient as a quadratic-style target.
+
+    Feeding the returned target to any rule reproduces the gradient of the
+    original loss, since output - target equals the loss gradient.
+    """
+    y = np.asarray(y_out, dtype=np.float64)
+    g = np.asarray(loss_gradient, dtype=np.float64)
+    if y.shape != g.shape:
+        raise ValueError(f"shape mismatch {y.shape} vs {g.shape}")
+    return y - g
 
 
 def min_abs_preactivation(net: Network, x: np.ndarray) -> float:

@@ -20,7 +20,6 @@ from gaitprop import (
     gait_updates,
     itp_targets,
     itp_updates,
-    loss_to_target,
     ortho_penalty,
     ortho_reg_grad,
     tp_targets,
@@ -29,7 +28,8 @@ from gaitprop import (
 from gaitprop.harness import ExperimentConfig, equilibrium_sweep, gridsearch, train
 from gaitprop.linalg import make_rng
 
-from conftest import fd_weight_grad, make_net, quadratic_loss, sample_away_from_kinks
+from conftest import (fd_weight_grad, loss_to_target, make_net, quadratic_loss,
+                      sample_away_from_kinks)
 from test_rules import crafted_kink_family, linear_net, update_chain_f
 
 CFG = IncrementalConfig(gamma=1e-3)

@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +21,13 @@ from gaitprop.linalg import (
 )
 
 from conftest import controlled_matrix
+
+
+def conditioned(kappa: float, seed: int, n: int = 16) -> np.ndarray:
+    """n x n matrix with 2-norm condition number kappa."""
+    r = make_rng(seed)
+    u, v = orthogonal_init(n, r), orthogonal_init(n, r)
+    return u @ np.diag(np.geomspace(1.0, 1.0 / kappa, n)) @ v
 
 
 class TestInvert:
@@ -43,18 +56,36 @@ class TestInvert:
 
     @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6])
     def test_residual_under_moderate_conditioning(self, kappa):
-        r = make_rng(int(kappa))
-        u, v = orthogonal_init(16, r), orthogonal_init(16, r)
-        m = u @ np.diag(np.geomspace(1.0, 1.0 / kappa, 16)) @ v
+        m = conditioned(kappa, int(kappa))
         assert np.abs(m @ invert(m) - np.eye(16)).max() < 1e-9
 
     def test_residual_near_float64_limit(self):
         # At condition 1e8 the residual evaluation itself rounds at the
         # 1e-9 scale; only a looser bound is checkable in float64.
-        r = make_rng(99)
-        u, v = orthogonal_init(16, r), orthogonal_init(16, r)
-        m = u @ np.diag(np.geomspace(1.0, 1e-8, 16)) @ v
+        m = conditioned(1e8, 99)
         assert np.abs(m @ invert(m) - np.eye(16)).max() < 1e-7
+
+    # The 1-norm condition number lies within a factor n = 16 of the 2-norm
+    # one, so 1e10 stays above SINGULAR_RCOND = 1e-12 and 1e14 falls below.
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_condition_1e10_is_accepted(self, seed):
+        m = conditioned(1e10, seed)
+        assert np.all(np.isfinite(invert(m)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_condition_1e14_is_singular(self, seed):
+        with pytest.raises(SingularMatrix, match="reciprocal condition number"):
+            invert(conditioned(1e14, seed))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("diag,rcond", [
+        ([1.0, 1e-300], "1.000e-300"),
+        ([1e300, 1e-300], "0.000e+00"),   # the norm product overflows
+    ])
+    def test_tiny_pivot_is_singular_without_warning(self, diag, rcond):
+        with pytest.raises(SingularMatrix,
+                           match=re.escape(f"reciprocal condition number {rcond} below 1e-12")):
+            invert(np.diag(diag))
 
     def test_double_inverse_round_trip(self):
         r = make_rng(5)
@@ -62,6 +93,28 @@ class TestInvert:
             m = controlled_matrix(10, r, 0.01, 1.0)  # condition <= 1e2
             back = invert(invert(m))
             assert np.abs(back - m).max() / np.abs(m).max() < 1e-8
+
+
+def test_training_loads_no_scipy():
+    """scipy bundles a second OpenBLAS whose thread pool competes with
+    numpy's for the same cores; one training step of every rule must not
+    load it."""
+    script = (
+        "import sys\n"
+        "from gaitprop.harness import RULES, ExperimentConfig, train\n"
+        "for rule in RULES:\n"
+        "    train(ExperimentConfig(rule=rule, width=8, depth=3, classes=4,\n"
+        "                           train_samples=16, test_samples=8,\n"
+        "                           batch_size=16, epochs=1))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestOrthogonalInit:

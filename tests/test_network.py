@@ -5,17 +5,15 @@ from gaitprop import (
     Activation,
     Layer,
     Network,
-    augmented_inverse,
     build_network,
     forward,
-    inverse_layer,
     load_checkpoint,
     save_checkpoint,
 )
 from gaitprop.linalg import SingularMatrix, make_rng, orthogonal_init
 from gaitprop.network import CheckpointError
 
-from conftest import make_net
+from conftest import activation_inverse, augmented_inverse, inverse_layer, make_net
 
 
 class TestActivation:
@@ -29,12 +27,12 @@ class TestActivation:
     def test_linear_round_trip_exact(self):
         a = Activation("linear")
         x = make_rng(0).standard_normal(50)
-        assert np.array_equal(a.inverse(a.forward(x)), x)
+        assert np.array_equal(activation_inverse(a, a.forward(x)), x)
 
     def test_leaky_round_trip(self):
         a = Activation("leaky_relu", 0.01)
         x = make_rng(1).standard_normal(200)
-        assert np.abs(a.inverse(a.forward(x)) - x).max() < 1e-12
+        assert np.abs(activation_inverse(a, a.forward(x)) - x).max() < 1e-12
 
     def test_bad_slope_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from gaitprop import (
     IncrementalConfig,
     Layer,
     Network,
-    augmented_inverse,
     bp_updates,
     correction_matrices,
     forward,
@@ -14,7 +13,6 @@ from gaitprop import (
     gait_updates,
     itp_targets,
     itp_updates,
-    loss_to_target,
     ortho_penalty,
     ortho_reg_grad,
     tp_targets,
@@ -23,8 +21,10 @@ from gaitprop import (
 from gaitprop.linalg import make_rng, orthogonal_init, xavier_init
 
 from conftest import (
+    augmented_inverse,
     controlled_matrix,
     fd_weight_grad,
+    loss_to_target,
     make_net,
     net_from_weights,
     quadratic_loss,
