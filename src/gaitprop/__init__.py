@@ -28,7 +28,6 @@ from .network import (  # noqa: F401
 from .rules import (  # noqa: F401
     IncrementalConfig,
     TargetStack,
-    UpdateSet,
     bp_updates,
     correction_matrices,
     gait_targets,

@@ -53,7 +53,8 @@ class Dataset:
             )
         if len(self.labels) and not (0 <= self.labels.min() and
                                      self.labels.max() < self.n_classes):
-            raise ValueError("labels out of range")
+            raise ValueError(f"labels must lie in [0, {self.n_classes}), got "
+                             f"{self.labels.min()}..{self.labels.max()}")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -162,21 +163,16 @@ def synthetic_teacher_quantized(n_in: int, depth: int, n_classes: int,
     return pixels, _teacher_labels(teacher, pixels.astype(np.float64) / 255.0, n_classes)
 
 
-def batches(ds: Dataset, batch_size: int, shuffle: bool,
-            rng: np.random.Generator | None = None):
-    """Yield (inputs, targets) column blocks covering the dataset once.
+def batches(ds: Dataset, batch_size: int, rng: np.random.Generator):
+    """Yield (inputs, targets) column blocks covering the dataset once, in
+    an order drawn from the rng, so deterministic under its seed.
 
     inputs has shape (n_features, b), targets is the one-hot block
-    (n_classes, b); the final partial batch is included. Shuffling requires
-    an rng and is deterministic under its seed.
+    (n_classes, b); the final partial batch is included.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    order = np.arange(len(ds))
-    if shuffle:
-        if rng is None:
-            raise ValueError("shuffle=True needs an rng")
-        order = rng.permutation(len(ds))
+    order = rng.permutation(len(ds))
     for start in range(0, len(ds), batch_size):
         idx = order[start:start + batch_size]
         yield ds.inputs[idx].T, one_hot_batch(ds.labels[idx], ds.n_classes)

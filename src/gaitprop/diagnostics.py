@@ -1,4 +1,4 @@
-"""Quantitative comparison of update sets and orthogonality tracking."""
+"""Quantitative comparison of per-layer updates and orthogonality tracking."""
 
 from __future__ import annotations
 
@@ -8,39 +8,38 @@ import numpy as np
 
 from . import files, linalg
 from .network import Network
-from .rules import UpdateSet
 
 # Norms below this are treated as zero updates with undefined direction.
 _NORM_FLOOR = 1e-300
+# Scatter pairs kept per layer; a larger layer is sampled without replacement.
+SCATTER_PAIRS = 2000
 
 
 @dataclass
 class AlignmentReport:
-    """Per-layer alignment of two update sets.
+    """Per-layer alignment of two update lists.
 
     ``cosines[l]`` is None when either update has no direction (norm under
-    the floor); scatter holds subsampled (element_a, element_b) pairs per
-    layer for plotting.
+    the floor); scatter holds up to ``SCATTER_PAIRS`` sampled (element_a,
+    element_b) pairs per layer for plotting.
     """
 
-    rule_a: str
-    rule_b: str
     cosines: list[float | None] = field(default_factory=list)
     norm_ratios: list[float | None] = field(default_factory=list)
     scatter: list[np.ndarray] = field(default_factory=list)
 
 
-def align(a: UpdateSet, b: UpdateSet, subsample: int = 2000,
-          rng: np.random.Generator | None = None) -> AlignmentReport:
+def align(a: list[np.ndarray], b: list[np.ndarray],
+          rng: np.random.Generator) -> AlignmentReport:
     """Cosine similarity and norm ratio between flattened per-layer updates.
 
-    Subsampling of scatter pairs is deterministic under the provided rng;
-    with no rng the first ``subsample`` elements are taken.
+    Layers with more than ``SCATTER_PAIRS`` elements keep a scatter sample
+    drawn from the rng, so deterministic under its seed.
     """
-    if len(a.deltas) != len(b.deltas):
-        raise ValueError("update sets have different depths")
-    report = AlignmentReport(rule_a=a.rule, rule_b=b.rule)
-    for da, db in zip(a.deltas, b.deltas):
+    if len(a) != len(b):
+        raise ValueError("update lists have different depths")
+    report = AlignmentReport()
+    for da, db in zip(a, b):
         if da.shape != db.shape:
             raise ValueError(f"layer shape mismatch {da.shape} vs {db.shape}")
         fa = da.ravel()
@@ -53,16 +52,10 @@ def align(a: UpdateSet, b: UpdateSet, subsample: int = 2000,
         else:
             report.cosines.append(float(fa @ fb / (na * nb)))
             report.norm_ratios.append(na / nb)
-        k = min(subsample, fa.size)
-        if k < fa.size:
-            if rng is None:
-                idx = np.arange(k)
-            else:
-                idx = rng.choice(fa.size, size=k, replace=False)
-            pairs = np.column_stack([fa[idx], fb[idx]])
-        else:
-            pairs = np.column_stack([fa, fb])
-        report.scatter.append(pairs)
+        if fa.size > SCATTER_PAIRS:
+            idx = rng.choice(fa.size, size=SCATTER_PAIRS, replace=False)
+            fa, fb = fa[idx], fb[idx]
+        report.scatter.append(np.column_stack([fa, fb]))
     return report
 
 

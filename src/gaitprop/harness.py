@@ -201,8 +201,11 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    with open(path) as fh:
-        mapping = parse_config_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            mapping = parse_config_text(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     if overrides:
         mapping.update(overrides)
     return config_from_mapping(mapping)
@@ -221,17 +224,12 @@ class RunRecord:
 
 
 def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    if cfg.dataset == "idx":
-        train = load_idx(cfg.train_images, cfg.train_labels, cfg.classes)
-        test = load_idx(cfg.test_images, cfg.test_labels, cfg.classes)
-        if cfg.train_samples and cfg.train_samples < len(train):
-            train = Dataset(train.inputs[:cfg.train_samples],
-                            train.labels[:cfg.train_samples], cfg.classes)
-        if cfg.test_samples and cfg.test_samples < len(test):
-            test = Dataset(test.inputs[:cfg.test_samples],
-                           test.labels[:cfg.test_samples], cfg.classes)
-        return train, test
     n_in = cfg.resolved_widths()[0]
+    if cfg.dataset == "idx":
+        return (_load_idx_split(cfg, n_in, cfg.train_images, cfg.train_labels,
+                                cfg.train_samples),
+                _load_idx_split(cfg, n_in, cfg.test_images, cfg.test_labels,
+                                cfg.test_samples))
     total = cfg.train_samples + cfg.test_samples
     # One draw for train and test together, so both come from the same teacher.
     ds = synthetic_teacher(n_in, cfg.teacher_depth, cfg.classes, total,
@@ -241,6 +239,22 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     test = Dataset(ds.inputs[cfg.train_samples:], ds.labels[cfg.train_samples:],
                    cfg.classes)
     return train, test
+
+
+def _load_idx_split(cfg: ExperimentConfig, n_in: int, images, labels,
+                    limit: int) -> Dataset:
+    """One IDX pair, checked against the config's classes and input width and
+    cut to its first ``limit`` samples (0 keeps all)."""
+    try:
+        ds = load_idx(images, labels, cfg.classes)
+    except ValueError as exc:  # the Dataset rejects labels at or above classes
+        raise ConfigError(f"{labels}: {exc}; classes={cfg.classes} is too small") from None
+    if ds.inputs.shape[1] != n_in:
+        raise ConfigError(f"{images}: {ds.inputs.shape[1]} pixels per image, but the "
+                          f"input width is {n_in}")
+    if limit and limit < len(ds):
+        ds = Dataset(ds.inputs[:limit], ds.labels[:limit], cfg.classes)
+    return ds
 
 
 def build_from_config(cfg: ExperimentConfig) -> Network:
@@ -291,24 +305,23 @@ def train(cfg: ExperimentConfig) -> RunRecord:
     state = AdamState(net, eta=cfg.resolved_eta())
     inc = IncrementalConfig(gamma=cfg.gamma)
     lam = cfg.resolved_lam()
-    # labeled derivation keeps the shuffle stream disjoint from the layer
+    # labeled derivation keeps the batch-order stream disjoint from the layer
     # init streams, which are spawned children of the bare seed
-    shuffle_rng = linalg.make_rng(_derived_seed(cfg.seed, 1))
+    order_rng = linalg.make_rng(_derived_seed(cfg.seed, 1))
     record = RunRecord(config=cfg.to_dict())
 
     for epoch in range(cfg.epochs):
-        for x, t in batches(train_ds, cfg.batch_size, shuffle=True, rng=shuffle_rng):
+        for x, t in batches(train_ds, cfg.batch_size, order_rng):
             trace = forward(net, x)
             batch_loss = 0.5 * np.sum((trace.output() - t) ** 2) / x.shape[1]
             if not np.isfinite(batch_loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, rule {cfg.rule}")
-            updates = rule_updates(cfg.rule, net, trace, t, inc)
+            deltas = rule_updates(cfg.rule, net, trace, t, inc)
             if lam > 0.0:
                 for i, layer in enumerate(net.layers):
-                    updates.deltas[i] = updates.deltas[i] - ortho_reg_grad(
-                        layer.weight, lam, cfg.reg_mode)
+                    deltas[i] = deltas[i] - ortho_reg_grad(layer.weight, lam, cfg.reg_mode)
             try:
-                adam_step(state, net, updates)
+                adam_step(state, net, deltas)
             except ValueError:  # the weight setter rejects non-finite entries
                 raise TrainingDiverged(
                     f"non-finite weights at epoch {epoch}, rule {cfg.rule}") from None
@@ -365,12 +378,16 @@ def gridsearch(base: ExperimentConfig, etas, lambdas) -> GridResult:
     """Cross-product sweep over learning rate and regularizer strength.
 
     Cells are seeded independently but reproducibly from the base seed, and
-    all are built, and so checked, before any trains; a failing run is
-    recorded and the sweep continues.
+    all are built, and so checked, before any trains; a repeated eta or
+    lambda is rejected, since its cells would train once but be tabled twice.
+    A failing run is recorded and the sweep continues.
     """
     etas, lambdas = list(etas), list(lambdas)
     if not etas or not lambdas:
         raise ConfigError("gridsearch needs non-empty eta and lambda lists")
+    for name, values in (("etas", etas), ("lambdas", lambdas)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"gridsearch {name} {values} repeat a value")
     cells = {(eta, lam): replace(base, eta=eta, lam=lam, seed=_derived_seed(base.seed, i, j))
              for i, eta in enumerate(etas) for j, lam in enumerate(lambdas)}
     result = GridResult(etas=etas, lambdas=lambdas)

@@ -127,13 +127,12 @@ class Network:
 class ForwardTrace:
     """Everything one pass records, batched column-wise.
 
-    ``pre_activations[l]``, ``activations[l]`` and ``gains[l]`` all have
-    shape ``(total_width_l, n_samples)``; ``gains`` holds the activation
+    ``activations[l]`` and ``gains[l]`` both have shape
+    ``(total_width_l, n_samples)``; ``gains`` holds the activation
     derivative evaluated at the pre-activations.
     """
 
     inputs: np.ndarray
-    pre_activations: list[np.ndarray] = field(default_factory=list)
     activations: list[np.ndarray] = field(default_factory=list)
     gains: list[np.ndarray] = field(default_factory=list)
     forward_widths: list[int] = field(default_factory=list)
@@ -176,7 +175,7 @@ def _as_columns(x: np.ndarray, width: int, label: str) -> np.ndarray:
 
 
 def forward(net: Network, x: np.ndarray) -> ForwardTrace:
-    """Forward pass recording pre-activations, activations and gains.
+    """Forward pass recording activations and gains.
 
     Each layer consumes only the forward part of the layer below; auxiliary
     activations stay local to their layer.
@@ -187,7 +186,6 @@ def forward(net: Network, x: np.ndarray) -> ForwardTrace:
     for layer in net.layers:
         h = layer.weight @ cur
         a = layer.activation.forward(h)
-        trace.pre_activations.append(h)
         trace.activations.append(a)
         trace.gains.append(layer.activation.deriv(h))
         cur = a[: layer.forward_width]

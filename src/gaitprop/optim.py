@@ -1,6 +1,6 @@
-"""Adam optimizer operating on per-layer UpdateSets.
+"""Adam optimizer operating on per-layer update lists.
 
-UpdateSets already point in the descent direction, so the optimizer treats
+Updates already point in the descent direction, so the optimizer treats
 their negation as the gradient. Moments live per layer, matching weight
 shapes exactly.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .network import Network
-from .rules import UpdateSet
 
 
 class AdamState:
@@ -31,21 +30,19 @@ class AdamState:
         self.v = [np.zeros_like(layer.weight) for layer in net.layers]
 
 
-def adam_step(state: AdamState, net: Network, updates: UpdateSet) -> tuple[AdamState, Network]:
+def adam_step(state: AdamState, net: Network, deltas: list[np.ndarray]
+              ) -> tuple[AdamState, Network]:
     """One bias-corrected Adam step, applied to the network in place.
 
     Mutates ``state`` and ``net`` under the caller's exclusive access and
     returns them for chaining.
     """
-    if len(updates.deltas) != net.depth:
-        raise ValueError(
-            f"update has {len(updates.deltas)} layers, network has {net.depth}"
-        )
+    if len(deltas) != net.depth:
+        raise ValueError(f"update has {len(deltas)} layers, network has {net.depth}")
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    for i, layer in enumerate(net.layers):
-        delta = updates.deltas[i]
+    for i, (layer, delta) in enumerate(zip(net.layers, deltas)):
         if delta.shape != layer.weight.shape:
             raise ValueError(f"layer {i}: update shape {delta.shape} != weight "
                              f"shape {layer.weight.shape}")

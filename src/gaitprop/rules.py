@@ -1,8 +1,8 @@
 """Learning rules: backprop, target propagation, and incremental variants.
 
 All rules are pure functions of (network, trace, output target, config) and
-return per-layer weight updates that already point in the descent direction;
-the optimizer applies the learning rate.
+return a list of per-layer weight updates, one array per layer, that already
+point in the descent direction; the optimizer applies the learning rate.
 
 Every rule is one backward recursion ``e_{l-1} = P_l(e_l)`` from
 ``e = output - target``, followed by one local update
@@ -25,7 +25,7 @@ intermediate at the scale of the gap itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,26 +54,18 @@ class IncrementalConfig:
 
 @dataclass
 class TargetStack:
-    """Per-layer targets over forward units, plus their gaps from the trace.
+    """Per-layer gaps (forward activation minus target) of one target rule.
 
-    ``gaps[l] = forward_part(l) - targets[l]`` is the numerically primary
-    representation (see module docstring). ``sign_flips`` counts, per
-    sample, how many units crossed the leaky-ReLU kink while blending; zero
-    means the piecewise-linear inversion was exact for that sample.
+    ``gaps`` is the numerically primary representation (see module
+    docstring); a layer's target is ``trace.forward_part(l) - gaps[l]``.
+    ``sign_flips`` counts, per sample, how many units crossed the leaky-ReLU
+    kink while blending; zero means the piecewise-linear inversion was exact
+    for that sample.
     """
 
     flavor: str
-    targets: list[np.ndarray] = field(default_factory=list)
-    gaps: list[np.ndarray] = field(default_factory=list)
-    sign_flips: np.ndarray | None = None
-
-
-@dataclass
-class UpdateSet:
-    """Per-layer weight updates (descent direction, learning rate excluded)."""
-
-    rule: str
-    deltas: list[np.ndarray] = field(default_factory=list)
+    gaps: list[np.ndarray]
+    sign_flips: np.ndarray
 
 
 def _pad_rows(x: np.ndarray, total: int) -> np.ndarray:
@@ -99,23 +91,22 @@ def _backward(trace: ForwardTrace, t_out: np.ndarray, propagate) -> list[np.ndar
 
 
 def _local_updates(
-    trace: ForwardTrace, errs: list[np.ndarray], rule: str, gamma: float = 1.0
-) -> UpdateSet:
-    """The one local update, with ``s_l = gamma^-(top - l)``; batched
-    traces yield the mean of the per-sample updates."""
+    trace: ForwardTrace, errs: list[np.ndarray], gamma: float = 1.0
+) -> list[np.ndarray]:
+    """The one local update, with ``s_l = gamma^-(top - l)``, one delta per
+    layer; batched traces yield the mean of the per-sample updates."""
     n = trace.n_samples
     top = trace.depth - 1
     deltas = []
     for l in range(trace.depth):
         d = trace.gains[l] * _pad_rows(errs[l], trace.activations[l].shape[0])
         delta = -(d @ trace.layer_input(l).T) / n
-        if gamma != 1.0:
-            delta = delta * gamma ** -(top - l)
+        delta *= gamma ** -(top - l)
         deltas.append(delta)
-    return UpdateSet(rule=rule, deltas=deltas)
+    return deltas
 
 
-def bp_updates(net: Network, trace: ForwardTrace, t_out: np.ndarray) -> UpdateSet:
+def bp_updates(net: Network, trace: ForwardTrace, t_out: np.ndarray) -> list[np.ndarray]:
     """Gradient-descent updates for the quadratic output loss.
 
     The error goes down through ``W^T`` after the gain. Auxiliary output
@@ -126,7 +117,7 @@ def bp_updates(net: Network, trace: ForwardTrace, t_out: np.ndarray) -> UpdateSe
         d = trace.gains[l] * _pad_rows(err, net.layers[l].total_width)
         return net.layers[l].weight.T @ d
 
-    return _local_updates(trace, _backward(trace, t_out, propagate), "bp")
+    return _local_updates(trace, _backward(trace, t_out, propagate))
 
 
 def _inverse_displacement(act: np.ndarray, disp: np.ndarray, slope: float):
@@ -167,8 +158,7 @@ def _target_stack(
         return layer.weight_inv @ v
 
     gaps = _backward(trace, t_out, propagate)
-    targets = [trace.forward_part(l) - gaps[l] for l in range(trace.depth)]
-    return TargetStack(flavor=flavor, targets=targets, gaps=gaps, sign_flips=flips)
+    return TargetStack(flavor=flavor, gaps=gaps, sign_flips=flips)
 
 
 def tp_targets(net: Network, trace: ForwardTrace, t_out: np.ndarray) -> TargetStack:
@@ -203,13 +193,13 @@ def gait_targets(
 
 def _target_updates(
     trace: ForwardTrace, targets: TargetStack, flavor: str, gamma: float = 1.0
-) -> UpdateSet:
+) -> list[np.ndarray]:
     if targets.flavor != flavor:
         raise ValueError(f"expected {flavor} targets, got {targets.flavor!r}")
-    return _local_updates(trace, targets.gaps, flavor, gamma)
+    return _local_updates(trace, targets.gaps, gamma)
 
 
-def tp_updates(trace: ForwardTrace, targets: TargetStack) -> UpdateSet:
+def tp_updates(trace: ForwardTrace, targets: TargetStack) -> list[np.ndarray]:
     """Local delta-rule updates toward propagated targets; auxiliary rows
     stay exactly zero because auxiliary targets equal the forward pass."""
     return _target_updates(trace, targets, "tp")
@@ -217,7 +207,7 @@ def tp_updates(trace: ForwardTrace, targets: TargetStack) -> UpdateSet:
 
 def itp_updates(
     trace: ForwardTrace, targets: TargetStack, cfg: IncrementalConfig
-) -> UpdateSet:
+) -> list[np.ndarray]:
     """Updates from incremental targets, rescaled by gamma^-(depth-1-l) so
     magnitudes match backprop layer by layer."""
     return _target_updates(trace, targets, "itp", cfg.gamma)
@@ -225,7 +215,7 @@ def itp_updates(
 
 def gait_updates(
     trace: ForwardTrace, targets: TargetStack, cfg: IncrementalConfig
-) -> UpdateSet:
+) -> list[np.ndarray]:
     """Updates from gradient-adjusted targets, rescaled as for itp_updates.
     With orthogonal weights and no kink crossings these equal bp_updates."""
     return _target_updates(trace, targets, "gait", cfg.gamma)

@@ -1,10 +1,11 @@
 """Shared builders for networks, controlled random matrices, and
-finite-difference and exact-inverse oracles."""
+finite-difference, exact-inverse and absolute-target oracles."""
 
 import numpy as np
 import pytest
 
-from gaitprop import Activation, Network, Layer, build_network, forward
+from gaitprop import (Activation, ForwardTrace, Layer, Network, TargetStack, build_network,
+                      forward)
 from gaitprop.linalg import make_rng, orthogonal_init
 from gaitprop.network import _as_columns
 
@@ -104,9 +105,15 @@ def loss_to_target(y_out: np.ndarray, loss_gradient: np.ndarray) -> np.ndarray:
     return y - g
 
 
+def stack_targets(trace: ForwardTrace, stack: TargetStack) -> list[np.ndarray]:
+    """Absolute per-layer targets of a target stack: forward part minus gap."""
+    return [trace.forward_part(l) - gap for l, gap in enumerate(stack.gaps)]
+
+
 def min_abs_preactivation(net: Network, x: np.ndarray) -> float:
     trace = forward(net, x)
-    return min(float(np.abs(h).min()) for h in trace.pre_activations)
+    return min(float(np.abs(layer.weight @ trace.layer_input(l)).min())
+               for l, layer in enumerate(net.layers))
 
 
 def sample_away_from_kinks(net: Network, rng: np.random.Generator,

@@ -55,8 +55,8 @@ def test_criterion_1_linear_equivalence():
         tp = tp_updates(trace, tp_targets(net, trace, t))
         for l in range(net.depth):
             f = update_chain_f(net, l)
-            rel = np.linalg.norm(bp.deltas[l] - f.T @ f @ tp.deltas[l]) \
-                / np.linalg.norm(bp.deltas[l])
+            rel = np.linalg.norm(bp[l] - f.T @ f @ tp[l]) \
+                / np.linalg.norm(bp[l])
             worst = max(worst, rel)
     report(1, worst < 1e-10,
            f"linear BP = F^T F * TP on 20 nets, worst rel {worst:.2e} (< 1e-10)")
@@ -72,8 +72,8 @@ def test_criterion_2_linear_orthogonal_identity():
         bp = bp_updates(net, trace, t)
         tp = tp_updates(trace, tp_targets(net, trace, t))
         for l in range(net.depth):
-            rel = np.linalg.norm(bp.deltas[l] - tp.deltas[l]) \
-                / np.linalg.norm(bp.deltas[l])
+            rel = np.linalg.norm(bp[l] - tp[l]) \
+                / np.linalg.norm(bp[l])
             worst = max(worst, rel)
     report(2, worst < 1e-10,
            f"orthogonal linear TP = BP on 20 nets, worst rel {worst:.2e} (< 1e-10)")
@@ -95,7 +95,7 @@ def test_criterion_3_gait_bp_equivalence():
         gait_all = gait_updates(trace, stack, CFG)
         # aggregate cosine over all samples, flips included
         for l in range(net.depth):
-            a, b = gait_all.deltas[l].ravel(), bp_all.deltas[l].ravel()
+            a, b = gait_all[l].ravel(), bp_all[l].ravel()
             worst_cos = min(worst_cos, a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
         # exact equality sample by sample where no kink was crossed
         total += 64
@@ -106,8 +106,8 @@ def test_criterion_3_gait_bp_equivalence():
             bp_i = bp_updates(net, tr_i, ts[:, [i]])
             g_i = gait_updates(tr_i, st_i, CFG)
             for l in range(net.depth):
-                rel = np.linalg.norm(g_i.deltas[l] - bp_i.deltas[l]) \
-                    / np.linalg.norm(bp_i.deltas[l])
+                rel = np.linalg.norm(g_i[l] - bp_i[l]) \
+                    / np.linalg.norm(bp_i[l])
                 worst_eq = max(worst_eq, rel)
     ok = worst_eq < 1e-9 and worst_cos > 0.999 and flip_free >= total // 2
     report(3, ok,
@@ -130,8 +130,8 @@ def test_criterion_4_order_of_gamma_convergence():
             worst = 0.0
             for l in range(net.depth - 1):
                 n_mat = correction_matrices(net, trace, l, cfg).gait
-                rel = np.linalg.norm(n_mat @ gait.deltas[l] - bp.deltas[l]) \
-                    / np.linalg.norm(bp.deltas[l])
+                rel = np.linalg.norm(n_mat @ gait[l] - bp[l]) \
+                    / np.linalg.norm(bp[l])
                 worst = max(worst, rel)
             total += worst
         return total / len(instances)
@@ -152,7 +152,7 @@ def test_criterion_5_gradient_ground_truth():
     upd = bp_updates(net, forward(net, x), t)
     for l in range(net.depth):
         fd = fd_weight_grad(lambda: quadratic_loss(net, x, t), net, l)
-        worst = max(worst, np.linalg.norm(-upd.deltas[l] - fd) / np.linalg.norm(fd))
+        worst = max(worst, np.linalg.norm(-upd[l] - fd) / np.linalg.norm(fd))
     # softmax cross-entropy through the loss-to-target construction
     net2 = make_net([8, 8, 8], 5, seed=51)
     x2 = sample_away_from_kinks(net2, rng, margin=1e-4)
@@ -171,7 +171,7 @@ def test_criterion_5_gradient_ground_truth():
     upd2 = bp_updates(net2, trace2, target)
     for l in range(net2.depth):
         fd = fd_weight_grad(ce_loss, net2, l)
-        worst = max(worst, np.linalg.norm(-upd2.deltas[l] - fd) / np.linalg.norm(fd))
+        worst = max(worst, np.linalg.norm(-upd2[l] - fd) / np.linalg.norm(fd))
     report(5, worst < 1e-5,
            f"BP matches central differences (quadratic and softmax-CE), "
            f"worst rel {worst:.2e} (< 1e-5)")
@@ -220,7 +220,7 @@ def test_criterion_8_auxiliary_freeze():
         "gait": gait_updates(trace, gait_targets(net, trace, ts, CFG), CFG),
     }
     all_zero = all(
-        np.all(upd.deltas[l][net.layers[l].forward_width:] == 0.0)
+        np.all(upd[l][net.layers[l].forward_width:] == 0.0)
         for upd in updates.values() for l in range(net.depth)
     )
     report(8, all_zero,

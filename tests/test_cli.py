@@ -21,6 +21,19 @@ def _in_tmp_path(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
 
+@pytest.fixture
+def idx_args(tmp_path):
+    """--set flags that train on a 16-pixel, 4-class IDX dataset in tmp_path."""
+    data = tmp_path / "data"
+    assert main(["datagen", "--out", str(data), "--n-in", "16", "--classes", "4",
+                 "--train", "64", "--test", "16", "--seed", "5"]) == 0
+    sets = ["dataset=idx", "width=16", "depth=2", "classes=4", "epochs=1",
+            "batch_size=16", "train_samples=0", "test_samples=0"]
+    sets += [f"{split}_{kind}={data}/{split}-{kind}-idx{3 if kind == 'images' else 1}-ubyte"
+             for split in ("train", "test") for kind in ("images", "labels")]
+    return [a for s in sets for a in ("--set", s)]
+
+
 class TestTrainCommand:
     def test_runs_and_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -87,24 +100,8 @@ class TestEquilibriumCommand:
 
 
 class TestDatagenAndInspect:
-    def test_datagen_then_train_idx(self, tmp_path):
-        out = tmp_path / "data"
-        code = main(["datagen", "--out", str(out), "--n-in", "16",
-                     "--classes", "4", "--train", "64", "--test", "16",
-                     "--seed", "5"])
-        assert code == 0
-        run_out = tmp_path / "run"
-        code = main([
-            "train", "--out", str(run_out), "--seed", "0",
-            "--set", "dataset=idx", "--set", "classes=4",
-            "--set", "width=16", "--set", "depth=2",
-            "--set", "epochs=1", "--set", "batch_size=16",
-            "--set", "train_samples=0", "--set", "test_samples=0",
-            "--set", f"train_images={out}/train-images-idx3-ubyte",
-            "--set", f"train_labels={out}/train-labels-idx1-ubyte",
-            "--set", f"test_images={out}/test-images-idx3-ubyte",
-            "--set", f"test_labels={out}/test-labels-idx1-ubyte",
-        ])
+    def test_datagen_then_train_idx(self, idx_args, tmp_path):
+        code = main(["train", "--out", str(tmp_path / "run"), "--seed", "0"] + idx_args)
         assert code == 0
 
     def test_datagen_requires_square_input(self, capsys):
@@ -128,6 +125,31 @@ class TestDatagenAndInspect:
         code = main(["checkpoint-inspect", str(bad)])
         assert code == 1
         assert "error[CheckpointError]" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"rule = bp\n# caf\xff\n")
+    code = main(["train", "--config", str(cfg)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error[config]: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--set", "classes=2"],          # labels 2 and 3 have no output unit
+    ["gridsearch", "--etas", "1e-3", "--lambdas", "0", "--set", "classes=2"],
+    ["train", "--set", "width=8"],            # 16 pixels into an 8-wide input
+    ["gridsearch", "--etas", "1e-3", "--lambdas", "0", "--set", "width=8"],
+    ["align", "--samples", "8", "--set", "width=8"],
+])
+def test_idx_shape_mismatch_exits_2(argv, idx_args, tmp_path, capsys):
+    capsys.readouterr()
+    code = main(argv[:1] + idx_args + argv[1:] + ["--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error[config]: ")
+    assert not (tmp_path / "out" / "run.json").exists()
 
 
 # Byte offsets into a checkpoint of a 16-16-16 net: the header is 12
@@ -190,6 +212,11 @@ def test_inspect_bad_stored_value(case, tmp_path, capsys):
     ["equilibrium", "--nus", ""],
     ["equilibrium", "--nus", ","],
     ["train", "--seed", "junk"],
+    # a repeated sweep value would be trained once but tabled twice
+    ["gridsearch", "--etas", "1e-4,0.0001", "--set", "width=16", "--set", "classes=4",
+     "--set", "epochs=0"],
+    ["gridsearch", "--lambdas", "0.1,0,0.10", "--set", "width=16", "--set", "classes=4",
+     "--set", "epochs=0"],
 ])
 def test_config_mistakes_exit_2(argv, tmp_path, capsys):
     # An exception escaping main() fails this test, as a traceback on

@@ -151,21 +151,16 @@ class TestBatches:
 
     def test_single_batch(self):
         ds = self.make_ds()
-        blocks = list(batches(ds, len(ds), shuffle=False))
+        blocks = list(batches(ds, len(ds), make_rng(7)))
         assert len(blocks) == 1
         x, t = blocks[0]
         assert x.shape == (4, 10)
         assert t.shape == (3, 10)
 
-    def test_order_preserved_without_shuffle(self):
-        ds = self.make_ds()
-        x, _ = next(batches(ds, 4, shuffle=False))
-        assert np.array_equal(x.T, ds.inputs[:4])
-
     def test_every_sample_once_per_epoch(self):
         ds = self.make_ds(11)
         seen = []
-        for x, _ in batches(ds, 4, shuffle=True, rng=make_rng(7)):
+        for x, _ in batches(ds, 4, make_rng(7)):
             seen.extend(x.T.tolist())
         assert len(seen) == 11
         sorted_seen = sorted(map(tuple, seen))
@@ -174,12 +169,8 @@ class TestBatches:
 
     def test_partial_final_batch(self):
         ds = self.make_ds(10)
-        sizes = [x.shape[1] for x, _ in batches(ds, 4, shuffle=False)]
+        sizes = [x.shape[1] for x, _ in batches(ds, 4, make_rng(7))]
         assert sizes == [4, 4, 2]
-
-    def test_shuffle_needs_rng(self):
-        with pytest.raises(ValueError):
-            next(batches(self.make_ds(), 2, shuffle=True))
 
     def test_mismatched_dataset_rejected(self):
         with pytest.raises(CountMismatch):

@@ -67,7 +67,6 @@ class TestForward:
         trace = forward(net, make_rng(6).uniform(0, 1, (10, 7)))
         assert trace.depth == 3
         for l, width in enumerate([10, 8, 6]):
-            assert trace.pre_activations[l].shape == (width, 7)
             assert trace.activations[l].shape == (width, 7)
             assert trace.gains[l].shape == (width, 7)
         assert trace.output().shape == (4, 7)

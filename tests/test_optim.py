@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from gaitprop import AdamState, adam_step
-from gaitprop.rules import UpdateSet
 from gaitprop.linalg import make_rng
 
 from conftest import make_net
 
 
 def constant_update(net, value):
-    return UpdateSet(rule="bp",
-                     deltas=[np.full_like(l.weight, value) for l in net.layers])
+    return [np.full_like(l.weight, value) for l in net.layers]
 
 
 class TestAdamStep:
@@ -54,8 +52,7 @@ class TestAdamStep:
         losses = []
         for _ in range(400):
             g = net.layers[0].weight - 3.0            # gradient
-            upd = UpdateSet(rule="bp", deltas=[-g])
-            adam_step(state, net, upd)
+            adam_step(state, net, [-g])
             losses.append(float(0.5 * (net.layers[0].weight[0, 0] - 3.0) ** 2))
         assert losses[-1] < losses[50] < losses[10]
         assert losses[-1] < 0.05
@@ -65,11 +62,9 @@ class TestAdamStep:
         before = [l.weight.copy() for l in net.layers]
         state = AdamState(net, eta=1e-3, beta1=0.0, beta2=0.0, eps=1e-300)
         rng = make_rng(4)
-        upd = UpdateSet(rule="bp",
-                        deltas=[rng.standard_normal(l.weight.shape)
-                                for l in net.layers])
+        upd = [rng.standard_normal(l.weight.shape) for l in net.layers]
         adam_step(state, net, upd)
-        for w0, layer, d in zip(before, net.layers, upd.deltas):
+        for w0, layer, d in zip(before, net.layers, upd):
             step = layer.weight - w0
             assert np.abs(step - 1e-3 * np.sign(d)).max() < 1e-12
 
@@ -78,9 +73,7 @@ class TestAdamStep:
         for _ in range(2):
             net = make_net([6, 6], 3, seed=5)
             state = AdamState(net, eta=1e-3)
-            upd = UpdateSet(rule="bp",
-                            deltas=[np.ones_like(l.weight) * 0.1
-                                    for l in net.layers])
+            upd = [np.ones_like(l.weight) * 0.1 for l in net.layers]
             for _ in range(3):
                 adam_step(state, net, upd)
             results.append([l.weight.copy() for l in net.layers])
@@ -90,7 +83,7 @@ class TestAdamStep:
     def test_shape_mismatch_rejected(self):
         net = make_net([6, 6], 3, seed=6)
         state = AdamState(net)
-        bad = UpdateSet(rule="bp", deltas=[np.zeros((2, 2)), np.zeros((6, 6))])
+        bad = [np.zeros((2, 2)), np.zeros((6, 6))]
         with pytest.raises(ValueError, match="shape"):
             adam_step(state, net, bad)
 

@@ -29,6 +29,7 @@ from conftest import (
     net_from_weights,
     quadratic_loss,
     sample_away_from_kinks,
+    stack_targets,
 )
 
 CFG = IncrementalConfig(gamma=1e-3)
@@ -54,7 +55,7 @@ class TestBpUpdates:
         net = make_net([8, 8], 4, seed=1)
         trace = forward(net, rng.uniform(0, 1, 8))
         upd = bp_updates(net, trace, trace.output())
-        for d in upd.deltas:
+        for d in upd:
             assert np.all(d == 0.0)
 
     def test_single_linear_layer_formula(self, rng):
@@ -65,7 +66,7 @@ class TestBpUpdates:
         t = rng.standard_normal(5)
         upd = bp_updates(net, trace, t)
         expected = -np.outer(trace.output()[:, 0] - t, x)
-        assert np.abs(upd.deltas[0] - expected).max() < 1e-12
+        assert np.abs(upd[0] - expected).max() < 1e-12
 
     def test_matches_finite_differences_quadratic(self, rng):
         net = make_net([8, 8, 8], 5, seed=2)
@@ -75,7 +76,7 @@ class TestBpUpdates:
         upd = bp_updates(net, trace, t)
         for l in range(net.depth):
             fd = fd_weight_grad(lambda: quadratic_loss(net, x, t), net, l)
-            analytic = -upd.deltas[l]
+            analytic = -upd[l]
             assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-5
 
     def test_batch_is_mean_of_samples(self, rng):
@@ -86,8 +87,8 @@ class TestBpUpdates:
         singles = [bp_updates(net, forward(net, xs[:, [i]]), ts[:, [i]])
                    for i in range(4)]
         for l in range(net.depth):
-            mean = sum(s.deltas[l] for s in singles) / 4
-            assert np.abs(batch.deltas[l] - mean).max() < 1e-14
+            mean = sum(s[l] for s in singles) / 4
+            assert np.abs(batch[l] - mean).max() < 1e-14
 
 
 class TestTpTargets:
@@ -95,8 +96,8 @@ class TestTpTargets:
         net = make_net([10, 8], 5, seed=4)
         trace = forward(net, rng.uniform(0, 1, 10))
         stack = tp_targets(net, trace, trace.output())
-        for l in range(net.depth):
-            assert np.abs(stack.targets[l] - trace.forward_part(l)).max() < 1e-9
+        for l, target in enumerate(stack_targets(trace, stack)):
+            assert np.abs(target - trace.forward_part(l)).max() < 1e-9
 
     def test_identity_linear_net_passes_target_through(self):
         act = Activation("linear")
@@ -104,8 +105,8 @@ class TestTpTargets:
         trace = forward(net, np.zeros(4))
         t = np.array([1.0, -2.0, 3.0, 0.5])
         stack = tp_targets(net, trace, t)
-        for l in range(2):
-            assert np.allclose(stack.targets[l][:, 0], t)
+        for target in stack_targets(trace, stack):
+            assert np.allclose(target[:, 0], t)
 
     def test_deep_target_reproduces_output_when_fed_forward(self, rng):
         net = linear_net(6, 3, rng, orthogonal=True)
@@ -113,7 +114,7 @@ class TestTpTargets:
         t = rng.standard_normal(6)
         stack = tp_targets(net, trace, t)
         # feeding t_0 through layers 1.. must land on the output target
-        replay = stack.targets[0]
+        replay = stack_targets(trace, stack)[0]
         for layer in net.layers[1:]:
             replay = layer.activation.forward(layer.weight @ replay)[:layer.forward_width]
         assert np.abs(replay - t[:, None]).max() < 1e-9
@@ -139,7 +140,7 @@ class TestTpUpdates:
         net = make_net([7, 7], 4, seed=5)
         trace = forward(net, rng.uniform(0, 1, 7))
         stack = tp_targets(net, trace, trace.output())
-        for d in tp_updates(trace, stack).deltas:
+        for d in tp_updates(trace, stack):
             assert np.abs(d).max() < 1e-9
 
     def test_linear_relation_to_bp(self, rng):
@@ -151,8 +152,8 @@ class TestTpUpdates:
         tp = tp_updates(trace, tp_targets(net, trace, t))
         for l in range(net.depth):
             f = update_chain_f(net, l)
-            lhs = bp.deltas[l]
-            rhs = f.T @ f @ tp.deltas[l]
+            lhs = bp[l]
+            rhs = f.T @ f @ tp[l]
             assert np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs) < 1e-10
 
     def test_orthogonal_linear_equality(self, rng):
@@ -162,8 +163,8 @@ class TestTpUpdates:
         bp = bp_updates(net, trace, t)
         tp = tp_updates(trace, tp_targets(net, trace, t))
         for l in range(net.depth):
-            rel = np.linalg.norm(bp.deltas[l] - tp.deltas[l]) \
-                / np.linalg.norm(bp.deltas[l])
+            rel = np.linalg.norm(bp[l] - tp[l]) \
+                / np.linalg.norm(bp[l])
             assert rel < 1e-10
 
     def test_shared_fixed_points_linear(self, rng):
@@ -174,12 +175,12 @@ class TestTpUpdates:
         trace = forward(net, x)
         at_optimum = bp_updates(net, trace, trace.output())
         tp_at_optimum = tp_updates(trace, tp_targets(net, trace, trace.output()))
-        for dbp, dtp in zip(at_optimum.deltas, tp_at_optimum.deltas):
+        for dbp, dtp in zip(at_optimum, tp_at_optimum):
             assert np.abs(dbp).max() < 1e-12 and np.abs(dtp).max() < 1e-12
         t = trace.output()[:, 0] + 1.0
         off = bp_updates(net, trace, t)
         tp_off = tp_updates(trace, tp_targets(net, trace, t))
-        for dbp, dtp in zip(off.deltas, tp_off.deltas):
+        for dbp, dtp in zip(off, tp_off):
             assert np.abs(dbp).max() > 1e-8 and np.abs(dtp).max() > 1e-8
 
     def test_flavor_check(self, rng):
@@ -204,7 +205,8 @@ class TestItpTargets:
                                                  trace.aux_part(l))
         tp = tp_targets(net, trace, t)
         itp = itp_targets(net, trace, t, IncrementalConfig(gamma=1.0))
-        for ref, a, b in zip(reference, tp.targets, itp.targets):
+        for ref, a, b in zip(reference, stack_targets(trace, tp),
+                             stack_targets(trace, itp)):
             assert np.abs(a - ref).max() < 1e-10
             assert np.abs(b - ref).max() < 1e-10
 
@@ -212,8 +214,8 @@ class TestItpTargets:
         net = make_net([8, 8], 4, seed=8)
         trace = forward(net, rng.uniform(0, 1, 8))
         stack = itp_targets(net, trace, trace.output(), CFG)
-        for l in range(net.depth):
-            assert np.abs(stack.targets[l] - trace.forward_part(l)).max() < 1e-12
+        for l, target in enumerate(stack_targets(trace, stack)):
+            assert np.abs(target - trace.forward_part(l)).max() < 1e-12
 
     def test_linear_closed_form(self, rng):
         # gamma^-(L-1-l) * gap_l equals the inverse weight chain applied to
@@ -236,15 +238,15 @@ class TestGaitTargets:
         t = rng.standard_normal(8)
         itp = itp_targets(net, trace, t, CFG)
         gait = gait_targets(net, trace, t, CFG)
-        for a, b in zip(itp.targets, gait.targets):
+        for a, b in zip(stack_targets(trace, itp), stack_targets(trace, gait)):
             assert np.array_equal(a, b)
 
     def test_fixed_point(self, rng):
         net = make_net([8, 6], 4, seed=9)
         trace = forward(net, rng.uniform(0, 1, 8))
         stack = gait_targets(net, trace, trace.output(), CFG)
-        for l in range(net.depth):
-            assert np.abs(stack.targets[l] - trace.forward_part(l)).max() < 1e-12
+        for l, target in enumerate(stack_targets(trace, stack)):
+            assert np.abs(target - trace.forward_part(l)).max() < 1e-12
         assert np.all(stack.sign_flips == 0)
 
     def test_blend_precondition(self, rng):
@@ -281,8 +283,8 @@ class TestGaitBpEquivalence:
             bp = bp_updates(net, trace, t)
             gait = gait_updates(trace, stack, CFG)
             for l in range(net.depth):
-                rel = np.linalg.norm(gait.deltas[l] - bp.deltas[l]) \
-                    / np.linalg.norm(bp.deltas[l])
+                rel = np.linalg.norm(gait[l] - bp[l]) \
+                    / np.linalg.norm(bp[l])
                 assert rel < 1e-9
         assert checked >= 4  # flip-free samples must dominate at gamma = 1e-3
 
@@ -300,7 +302,7 @@ class TestGaitBpEquivalence:
         bp = bp_updates(net, trace, t)
         gait = gait_updates(trace, stack, CFG)
         for l in range(net.depth):
-            rel = np.abs(gait.deltas[l] - bp.deltas[l]).max() / np.abs(bp.deltas[l]).max()
+            rel = np.abs(gait[l] - bp[l]).max() / np.abs(bp[l]).max()
             assert rel < 1e-14
 
     def test_single_layer_scaled_gait_equals_bp(self, rng):
@@ -309,7 +311,7 @@ class TestGaitBpEquivalence:
         t = rng.standard_normal(6)
         bp = bp_updates(net, trace, t)
         gait = gait_updates(trace, gait_targets(net, trace, t, CFG), CFG)
-        assert np.abs(bp.deltas[0] - gait.deltas[0]).max() < 1e-15
+        assert np.abs(bp[0] - gait[0]).max() < 1e-15
 
     def test_cosine_above_threshold_across_samples(self, rng):
         net = make_net([16] * 4, 10, seed=13)
@@ -319,7 +321,7 @@ class TestGaitBpEquivalence:
         bp = bp_updates(net, trace, ts)
         gait = gait_updates(trace, gait_targets(net, trace, ts, CFG), CFG)
         for l in range(net.depth):
-            a, b = gait.deltas[l].ravel(), bp.deltas[l].ravel()
+            a, b = gait[l].ravel(), bp[l].ravel()
             cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
             assert cos > 0.999
 
@@ -327,7 +329,7 @@ class TestGaitBpEquivalence:
         net = make_net([8, 8], 4, seed=14)
         trace = forward(net, rng.uniform(0, 1, 8))
         stack = gait_targets(net, trace, trace.output(), CFG)
-        for d in gait_updates(trace, stack, CFG).deltas:
+        for d in gait_updates(trace, stack, CFG):
             assert np.abs(d).max() < 1e-9
 
 
@@ -345,7 +347,7 @@ class TestAuxiliaryFreeze:
         else:
             upd = gait_updates(trace, gait_targets(net, trace, ts, CFG), CFG)
         for l, layer in enumerate(net.layers):
-            aux_rows = upd.deltas[l][layer.forward_width:]
+            aux_rows = upd[l][layer.forward_width:]
             assert np.all(aux_rows == 0.0)
 
 
@@ -379,7 +381,7 @@ class TestLossToTarget:
         upd = bp_updates(net, trace, target)
         for l in range(net.depth):
             fd = fd_weight_grad(ce_loss, net, l)
-            analytic = -upd.deltas[l]
+            analytic = -upd[l]
             assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-5
 
 
@@ -443,7 +445,8 @@ def crafted_kink_family(seed, gamma_big=1e-3, m=60, n=12, depth=4):
         w[depth - 1][k] -= (h_k - pin) / (prev @ prev) * prev
         net = net_from_weights(w, n, kind="leaky_relu", alpha=0.01)
         tr = forward(net, x)
-        assert abs(tr.pre_activations[depth - 1][k, 0] - pin) < 1e-12
+        h = net.layers[depth - 1].weight @ tr.layer_input(depth - 1)
+        assert abs(h[k, 0] - pin) < 1e-12
         t = tr.output()[:, 0] - offsets
         t[k] = tr.output()[k, 0] - gap_k   # blend pushes the pin toward zero
         instances.append((net, t))
@@ -509,8 +512,8 @@ class TestCorrectionMatrices:
         gait = gait_updates(trace, stack, CFG)
         for l in range(net.depth - 1):
             n_mat = correction_matrices(net, trace, l, CFG).gait
-            lhs = n_mat @ gait.deltas[l]
-            rel = np.linalg.norm(lhs - bp.deltas[l]) / np.linalg.norm(bp.deltas[l])
+            lhs = n_mat @ gait[l]
+            rel = np.linalg.norm(lhs - bp[l]) / np.linalg.norm(bp[l])
             assert rel < 1e-10
 
     def test_deviation_shrinks_linearly_in_gamma(self):
@@ -531,8 +534,8 @@ class TestCorrectionMatrices:
                 worst = 0.0
                 for l in range(net.depth - 1):
                     n_mat = correction_matrices(net, trace, l, cfg).gait
-                    rel = np.linalg.norm(n_mat @ gait.deltas[l] - bp.deltas[l]) \
-                        / np.linalg.norm(bp.deltas[l])
+                    rel = np.linalg.norm(n_mat @ gait[l] - bp[l]) \
+                        / np.linalg.norm(bp[l])
                     worst = max(worst, rel)
                 total += worst
             return total / len(instances)
