@@ -23,6 +23,7 @@ from .network import (  # noqa: F401
     build_network,
     forward,
     load_checkpoint,
+    output,
     save_checkpoint,
 )
 from .rules import (  # noqa: F401

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import files, linalg
-from .network import Activation, build_network, forward
+from .network import Activation, build_network, output
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -133,8 +133,7 @@ def _teacher_draw(n_in: int, depth: int, n_classes: int, samples: int,
 def _teacher_labels(teacher, inputs: np.ndarray, n_classes: int) -> np.ndarray:
     if len(inputs) == 0:
         return np.zeros(0, dtype=np.int64)
-    out = forward(teacher, inputs.T).output()
-    return np.argmax(out[:n_classes], axis=0).astype(np.int64)
+    return np.argmax(output(teacher, inputs.T)[:n_classes], axis=0).astype(np.int64)
 
 
 def synthetic_teacher(n_in: int, depth: int, n_classes: int, samples: int,

@@ -20,7 +20,7 @@ from .data import Dataset, batches, check_teacher, load_idx, one_hot_batch, synt
 from .diagnostics import AlignmentReport, align, ortho_drift
 from .dynamics import CircuitConfig, Divergence, equilibria, simulate
 from .network import Activation, Network, build_network, check_widths, forward, \
-    save_checkpoint
+    output, save_checkpoint
 from .optim import AdamState, adam_step
 from .rules import IncrementalConfig, bp_updates, gait_targets, gait_updates, \
     itp_targets, itp_updates, ortho_reg_grad, tp_targets, tp_updates
@@ -276,8 +276,8 @@ def rule_updates(rule: str, net: Network, trace, t_out, inc: IncrementalConfig):
 
 
 def evaluate(net: Network, ds: Dataset) -> tuple[float, float]:
-    """(accuracy, mean quadratic loss) over a dataset, in forward passes of
-    at most 2048 samples; argmax ties go to the lowest class index."""
+    """(accuracy, mean quadratic loss) over a dataset, in output-only passes
+    of at most 2048 samples; argmax ties go to the lowest class index."""
     if len(ds) == 0:
         return 0.0, 0.0
     chunk = 2048
@@ -286,7 +286,7 @@ def evaluate(net: Network, ds: Dataset) -> tuple[float, float]:
     for start in range(0, len(ds), chunk):
         block = ds.inputs[start:start + chunk]
         labels = ds.labels[start:start + chunk]
-        out = forward(net, block.T).output()
+        out = output(net, block.T)
         hits += int(np.sum(np.argmax(out, axis=0) == labels))
         t = one_hot_batch(labels, ds.n_classes)
         loss_sum += float(0.5 * np.sum((out - t) ** 2))
@@ -295,12 +295,17 @@ def evaluate(net: Network, ds: Dataset) -> tuple[float, float]:
 
 # Divergence is reported by the finiteness checks in the loop, not by numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
-def train(cfg: ExperimentConfig) -> RunRecord:
-    """Full training run; deterministic under (config, seed)."""
+def train(cfg: ExperimentConfig,
+          data: tuple[Dataset, Dataset] | None = None) -> RunRecord:
+    """Full training run; deterministic under (config, seed).
+
+    ``data`` is the (train, test) pair to use in place of loading the
+    config's own; a sweep loads it once and passes it to every cell.
+    """
     if cfg.save_checkpoint:
         files.make_dir(os.path.dirname(cfg.save_checkpoint))
     started = time.perf_counter()
-    train_ds, test_ds = _load_datasets(cfg)
+    train_ds, test_ds = _load_datasets(cfg) if data is None else data
     net = build_from_config(cfg)
     state = AdamState(net, eta=cfg.resolved_eta())
     inc = IncrementalConfig(gamma=cfg.gamma)
@@ -379,21 +384,27 @@ def gridsearch(base: ExperimentConfig, etas, lambdas) -> GridResult:
 
     Cells are seeded independently but reproducibly from the base seed, and
     all are built, and so checked, before any trains; a repeated eta or
-    lambda is rejected, since its cells would train once but be tabled twice.
-    A failing run is recorded and the sweep continues.
+    lambda is rejected, since its cells would train once but be tabled twice,
+    and so is a checkpoint path, which every cell would overwrite. The cells
+    differ only in eta, lambda and seed, so the dataset is loaded once and
+    shared. A failing run is recorded and the sweep continues.
     """
     etas, lambdas = list(etas), list(lambdas)
     if not etas or not lambdas:
         raise ConfigError("gridsearch needs non-empty eta and lambda lists")
+    if base.save_checkpoint:
+        raise ConfigError("save_checkpoint applies to train only; every gridsearch "
+                          "cell would overwrite it")
     for name, values in (("etas", etas), ("lambdas", lambdas)):
         if len(set(values)) != len(values):
             raise ConfigError(f"gridsearch {name} {values} repeat a value")
     cells = {(eta, lam): replace(base, eta=eta, lam=lam, seed=_derived_seed(base.seed, i, j))
              for i, eta in enumerate(etas) for j, lam in enumerate(lambdas)}
+    data = _load_datasets(base)
     result = GridResult(etas=etas, lambdas=lambdas)
     for cell, cfg in cells.items():
         try:
-            result.records[cell] = train(cfg)
+            result.records[cell] = train(cfg, data)
         except (TrainingDiverged, linalg.SingularMatrix) as exc:
             result.failures[cell] = f"{type(exc).__name__}: {exc}"
     return result

@@ -192,6 +192,21 @@ def forward(net: Network, x: np.ndarray) -> ForwardTrace:
     return trace
 
 
+def output(net: Network, x: np.ndarray) -> np.ndarray:
+    """The network's output alone, equal bit for bit to
+    ``forward(net, x).output()``, for callers that read nothing else.
+
+    It records no trace and computes no gains, and activates only the forward
+    rows. Those rows are sliced from the full product rather than multiplied
+    alone: OpenBLAS may round a row block differently from the same rows of
+    the whole product.
+    """
+    cur = _as_columns(x, net.input_width, "input")
+    for layer in net.layers:
+        cur = layer.activation.forward((layer.weight @ cur)[: layer.forward_width])
+    return cur
+
+
 def check_widths(total_widths, output_width: int) -> None:
     """Raise ValueError unless widths are >= 1, non-increasing and fit output_width."""
     widths = list(total_widths)

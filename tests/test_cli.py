@@ -217,6 +217,9 @@ def test_inspect_bad_stored_value(case, tmp_path, capsys):
      "--set", "epochs=0"],
     ["gridsearch", "--lambdas", "0.1,0,0.10", "--set", "width=16", "--set", "classes=4",
      "--set", "epochs=0"],
+    # every cell would overwrite the one checkpoint
+    ["gridsearch", "--set", "save_checkpoint=out/net.bin", "--set", "width=16",
+     "--set", "classes=4", "--set", "epochs=0"],
 ])
 def test_config_mistakes_exit_2(argv, tmp_path, capsys):
     # An exception escaping main() fails this test, as a traceback on

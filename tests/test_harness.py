@@ -1,12 +1,12 @@
 import json
 import csv
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from gaitprop import IncrementalConfig, forward, harness
-from gaitprop.data import synthetic_teacher_quantized, write_idx
+from gaitprop import Activation, IncrementalConfig, forward, harness, make_rng
+from gaitprop.data import synthetic_teacher, synthetic_teacher_quantized, write_idx
 from gaitprop.harness import (
     ConfigError,
     ExperimentConfig,
@@ -217,6 +217,31 @@ class TestGridsearch:
         assert sorted(result.failures) == [(1e300, 0.0), (1e300, 1e308)]
         assert not result.records
 
+    def test_dataset_loaded_once_and_cells_equal_train(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return synthetic_teacher(*args)
+
+        base = replace(TINY, arch="halving", width=32, depth=3, epochs=1)
+        monkeypatch.setattr(harness, "synthetic_teacher", spy)
+        result = gridsearch(base, etas=harness.DEFAULT_ETAS,
+                            lambdas=harness.DEFAULT_LAMBDAS)
+        assert len(calls) == 1
+        assert len(result.records) == 12 and not result.failures
+
+        def fields_but_wall(rec):
+            out = asdict(rec)
+            del out["wall_clock_s"]
+            return out
+
+        for i, eta in enumerate(harness.DEFAULT_ETAS):
+            for j, lam in enumerate(harness.DEFAULT_LAMBDAS):
+                direct = train(replace(base, eta=eta, lam=lam,
+                                       seed=_derived_seed(base.seed, i, j)))
+                assert fields_but_wall(result.records[(eta, lam)]) == fields_but_wall(direct)
+
     def test_every_cell_validated_before_any_trains(self, monkeypatch):
         monkeypatch.setattr(harness, "train", _no_training)
         with pytest.raises(ConfigError, match="lam"):
@@ -225,6 +250,17 @@ class TestGridsearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             gridsearch(TINY, etas=[], lambdas=[0.1])
+
+
+def test_evaluation_and_teacher_labels_compute_no_gains(monkeypatch):
+    # Neither reads a gain, so neither may pay for one.
+    def no_gains(self, x):
+        raise AssertionError("a gain was computed")
+
+    monkeypatch.setattr(Activation, "deriv", no_gains)
+    ds = synthetic_teacher(16, 2, 4, 50, make_rng(3))
+    assert len(ds) == 50
+    assert 0.0 <= harness.evaluate(harness.build_from_config(TINY), ds)[0] <= 1.0
 
 
 class TestAlignExperiment:

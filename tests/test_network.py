@@ -8,6 +8,7 @@ from gaitprop import (
     build_network,
     forward,
     load_checkpoint,
+    output,
     save_checkpoint,
 )
 from gaitprop.linalg import SingularMatrix, make_rng, orthogonal_init
@@ -94,6 +95,28 @@ class TestForward:
         net = make_net([4], 2, seed=0)
         with pytest.raises(ValueError, match="finite"):
             forward(net, np.array([1.0, np.inf, 0.0, 0.0]))
+
+
+class TestOutput:
+    @pytest.mark.parametrize("batch", [1, 300])
+    @pytest.mark.parametrize("kind", ["leaky_relu", "linear"])
+    @pytest.mark.parametrize("init", ["orthogonal", "xavier"])
+    @pytest.mark.parametrize("widths", [[64] * 4, [64, 32, 16, 10]],
+                             ids=["fixed", "halving"])
+    def test_equals_forward_bit_for_bit(self, widths, init, kind, batch):
+        net = make_net(widths, 10, kind=kind, init=init, seed=7)
+        x = make_rng(8).uniform(0, 1, (64, batch))
+        assert np.array_equal(output(net, x), forward(net, x).output())
+
+    @pytest.mark.parametrize("x", [np.ones(5), np.array([1.0, np.inf, 0.0, 0.0, 0.0, 0.0])],
+                             ids=["rows", "finite"])
+    def test_rejects_what_forward_rejects(self, x):
+        net = make_net([6, 6], 2, seed=0)
+        with pytest.raises(ValueError) as by_forward:
+            forward(net, x)
+        with pytest.raises(ValueError) as by_output:
+            output(net, x)
+        assert str(by_output.value) == str(by_forward.value)
 
 
 class TestInverseLayer:
