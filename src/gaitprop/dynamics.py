@@ -10,6 +10,10 @@ gamma * W^-1 t2 when the target switches on, where gamma = nu / (1 - nu) is
 the effective incremental factor. Integration is explicit Euler, whose fixed
 point coincides with the ODE equilibrium, so long horizons converge to the
 analytic steady state up to roundoff.
+
+The inputs x and t2 must be finite. Divergence is found after integration:
+the first sample whose state magnitude exceeds the limit, or is NaN, names
+the time reported.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ class CircuitConfig:
         n = w.shape[0]
         if np.asarray(self.x).shape != (n,) or np.asarray(self.t2).shape != (n,):
             raise ValueError("x and t2 must be length-n vectors")
+        if not (np.isfinite(self.x).all() and np.isfinite(self.t2).all()):
+            raise ValueError("x and t2 must be finite")
 
     @property
     def gamma(self) -> float:
@@ -65,7 +71,11 @@ class Trajectory:
 
 
 def simulate(cfg: CircuitConfig) -> Trajectory:
-    """Explicit-Euler integration from rest (u1 = u2 = 0)."""
+    """Explicit-Euler integration from rest (u1 = u2 = 0).
+
+    Raises Divergence at the first sample whose state magnitude is not
+    within the limit (NaN included), after integrating the whole horizon.
+    """
     w = np.asarray(cfg.weight, dtype=np.float64)
     w_inv = linalg.invert(w)
     x = np.asarray(cfg.x, dtype=np.float64)
@@ -75,15 +85,27 @@ def simulate(cfg: CircuitConfig) -> Trajectory:
     u1 = np.zeros((n_steps + 1, w.shape[0]))
     u2 = np.zeros_like(u1)
     a = cfg.dt / cfg.tau
-    for k in range(n_steps):
-        target = t2 if times[k] >= cfg.onset else 0.0
-        du1 = -u1[k] + x + cfg.coupling * (w_inv @ u2[k])
-        du2 = -u2[k] + w @ u1[k] + target
-        u1[k + 1] = u1[k] + a * du1
-        u2[k + 1] = u2[k] + a * du2
-        if max(np.abs(u1[k + 1]).max(), np.abs(u2[k + 1]).max()) > _DIVERGENCE_LIMIT:
-            raise Divergence(f"state magnitude exceeded {_DIVERGENCE_LIMIT:g} "
-                             f"at t={times[k + 1]:.6g}")
+    nu = cfg.coupling
+    targets = [t2 if on else 0.0 for on in (times[:-1] >= cfg.onset).tolist()]
+    # Each step is the IEEE operation sequence of -u1 + x + nu (W^-1 u2) and
+    # -u2 + W u1 + target: x - u1 and W u1 - u2 round exactly as -u1 + x and
+    # -u2 + W u1.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, target in enumerate(targets):
+            v1, v2 = u1[k], u2[k]
+            du1 = x - v1
+            du1 += nu * (w_inv @ v2)
+            du2 = w @ v1 - v2
+            du2 += target
+            du1 *= a
+            du2 *= a
+            np.add(v1, du1, out=u1[k + 1])
+            np.add(v2, du2, out=u2[k + 1])
+        peak = np.maximum(np.abs(u1).max(axis=1), np.abs(u2).max(axis=1))
+        bad = np.flatnonzero(~(peak <= _DIVERGENCE_LIMIT))
+    if bad.size:
+        raise Divergence(f"state magnitude exceeded {_DIVERGENCE_LIMIT:g} "
+                         f"at t={times[bad[0]]:.6g}")
     return Trajectory(times=times, u1=u1, u2=u2)
 
 

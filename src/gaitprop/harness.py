@@ -230,15 +230,20 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
                                 cfg.train_samples),
                 _load_idx_split(cfg, n_in, cfg.test_images, cfg.test_labels,
                                 cfg.test_samples))
-    total = cfg.train_samples + cfg.test_samples
     # One draw for train and test together, so both come from the same teacher.
-    ds = synthetic_teacher(n_in, cfg.teacher_depth, cfg.classes, total,
-                           linalg.make_rng(cfg.data_seed))
+    ds = _draw_teacher(cfg, cfg.train_samples + cfg.test_samples)
     train = Dataset(ds.inputs[:cfg.train_samples], ds.labels[:cfg.train_samples],
                     cfg.classes)
     test = Dataset(ds.inputs[cfg.train_samples:], ds.labels[cfg.train_samples:],
                    cfg.classes)
     return train, test
+
+
+def _draw_teacher(cfg: ExperimentConfig, samples: int) -> Dataset:
+    """The config's synthetic dataset, cut to its first ``samples`` rows: a
+    draw's first rows do not depend on how many rows follow them."""
+    return synthetic_teacher(cfg.resolved_widths()[0], cfg.teacher_depth, cfg.classes,
+                             samples, linalg.make_rng(cfg.data_seed))
 
 
 def _load_idx_split(cfg: ExperimentConfig, n_in: int, images, labels,
@@ -429,7 +434,10 @@ def align_experiment(cfg: ExperimentConfig, n_samples: int
     for both init modes. Returns reports keyed [init][rule]."""
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
-    train_ds, _ = _load_datasets(cfg)
+    if cfg.dataset == "idx":
+        train_ds, _ = _load_datasets(cfg)
+    else:  # draw only the rows that are read
+        train_ds = _draw_teacher(cfg, min(n_samples, cfg.train_samples))
     if n_samples > len(train_ds):
         raise ConfigError(f"only {len(train_ds)} samples available")
     x = train_ds.inputs[:n_samples].T

@@ -2,7 +2,7 @@
 
 Updates already point in the descent direction, so the optimizer treats
 their negation as the gradient. Moments live per layer, matching weight
-shapes exactly.
+shapes exactly, and are updated in place.
 """
 
 from __future__ import annotations
@@ -46,10 +46,21 @@ def adam_step(state: AdamState, net: Network, deltas: list[np.ndarray]
         if delta.shape != layer.weight.shape:
             raise ValueError(f"layer {i}: update shape {delta.shape} != weight "
                              f"shape {layer.weight.shape}")
-        g = -delta
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        layer.weight = layer.weight - state.eta * m_hat / (np.sqrt(v_hat) + state.eps)
+        # g = -delta is folded into the constants: (1 - beta1) * g is
+        # delta * -(1 - beta1), and in ((1 - beta2) * g) * g the signs cancel.
+        m, v = state.m[i], state.v[i]
+        buf = np.multiply(delta, -(1.0 - state.beta1))
+        m *= state.beta1
+        m += buf
+        np.multiply(delta, 1.0 - state.beta2, out=buf)
+        buf *= delta
+        v *= state.beta2
+        v += buf
+        np.divide(v, bc2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += state.eps
+        step = m / bc1
+        step *= state.eta
+        step /= buf
+        layer.weight = np.subtract(layer.weight, step, out=step)
     return state, net

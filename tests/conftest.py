@@ -1,12 +1,14 @@
 """Shared builders for networks, controlled random matrices, and
-finite-difference, exact-inverse and absolute-target oracles."""
+finite-difference, exact-inverse, absolute-target, Euler-loop and Adam-step
+oracles."""
 
 import numpy as np
 import pytest
 
 from gaitprop import (Activation, ForwardTrace, Layer, Network, TargetStack, build_network,
                       forward)
-from gaitprop.linalg import make_rng, orthogonal_init
+from gaitprop.dynamics import _DIVERGENCE_LIMIT, CircuitConfig, Divergence, Trajectory
+from gaitprop.linalg import invert, make_rng, orthogonal_init
 from gaitprop.network import _as_columns
 
 
@@ -125,6 +127,45 @@ def sample_away_from_kinks(net: Network, rng: np.random.Generator,
         if min_abs_preactivation(net, x) > margin:
             return x
     raise AssertionError("no kink-free sample found; widen margin or reseed")
+
+
+def euler_oracle(cfg: CircuitConfig) -> Trajectory:
+    """The circuit's Euler loop written step by step, with the divergence
+    check inside the loop; ``simulate`` must match it byte for byte."""
+    w = np.asarray(cfg.weight, dtype=np.float64)
+    w_inv = invert(w)
+    x = np.asarray(cfg.x, dtype=np.float64)
+    t2 = np.asarray(cfg.t2, dtype=np.float64)
+    n_steps = int(round(cfg.duration / cfg.dt))
+    times = np.arange(n_steps + 1) * cfg.dt
+    u1 = np.zeros((n_steps + 1, w.shape[0]))
+    u2 = np.zeros_like(u1)
+    a = cfg.dt / cfg.tau
+    for k in range(n_steps):
+        target = t2 if times[k] >= cfg.onset else 0.0
+        du1 = -u1[k] + x + cfg.coupling * (w_inv @ u2[k])
+        du2 = -u2[k] + w @ u1[k] + target
+        u1[k + 1] = u1[k] + a * du1
+        u2[k + 1] = u2[k] + a * du2
+        if max(np.abs(u1[k + 1]).max(), np.abs(u2[k + 1]).max()) > _DIVERGENCE_LIMIT:
+            raise Divergence(f"state magnitude exceeded {_DIVERGENCE_LIMIT:g} "
+                             f"at t={times[k + 1]:.6g}")
+    return Trajectory(times=times, u1=u1, u2=u2)
+
+
+def adam_step_oracle(state, net, deltas) -> None:
+    """Adam written with fresh arrays for every moment and term;
+    ``adam_step`` must match it byte for byte."""
+    state.t += 1
+    bc1 = 1.0 - state.beta1 ** state.t
+    bc2 = 1.0 - state.beta2 ** state.t
+    for i, (layer, delta) in enumerate(zip(net.layers, deltas)):
+        g = -delta
+        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
+        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
+        m_hat = state.m[i] / bc1
+        v_hat = state.v[i] / bc2
+        layer.weight = layer.weight - state.eta * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from gaitprop.dynamics import (
 )
 from gaitprop.linalg import make_rng
 
-from conftest import controlled_matrix
+from conftest import controlled_matrix, euler_oracle
 
 
 def circuit(w, nu, x, t2, tau=1.0, dt=0.01, duration=100.0, onset=40.0):
@@ -81,11 +81,39 @@ class TestSimulate:
             errs.append(np.abs(np.concatenate([traj.u1[-1], traj.u2[-1]]) - exact).max())
         assert errs[1] / errs[0] == pytest.approx(0.5, abs=0.15)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    def test_bytes_match_step_by_step_loop(self, n):
+        rng = make_rng(60 + n)
+        w = controlled_matrix(n, rng)
+        x = rng.standard_normal(n)
+        t2 = rng.standard_normal(n)
+        for nu in (0.0, 0.25, 0.9):
+            for onset in (0.0, 1.5, 3.0):
+                for tau in (0.5, 1.0):
+                    cfg = circuit(w, nu, x, t2, tau=tau, duration=3.0, onset=onset)
+                    got, want = simulate(cfg), euler_oracle(cfg)
+                    for name in ("times", "u1", "u2"):
+                        assert getattr(got, name).tobytes() == \
+                            getattr(want, name).tobytes(), (name, nu, onset, tau)
+
     def test_divergence_detected(self):
-        cfg = circuit(np.eye(1), 0.4, [1.0], [0.0], duration=50.0, onset=50.0)
-        # force an unstable coupling past validation to exercise the guard
-        object.__setattr__(cfg, "coupling", 150.0)
-        with pytest.raises(Divergence):
+        # force unstable couplings past validation to exercise the guard; at
+        # 1e300 the state overflows to inf and NaN after the limit is passed
+        for coupling in (150.0, 1e300):
+            cfg = circuit(np.eye(2), 0.4, [1.0, -0.5], [0.0, 0.0],
+                          duration=50.0, onset=50.0)
+            object.__setattr__(cfg, "coupling", coupling)
+            with pytest.raises(Divergence) as want:
+                euler_oracle(cfg)
+            with pytest.raises(Divergence) as got:
+                simulate(cfg)
+            assert str(got.value) == str(want.value)
+
+    def test_non_finite_state_diverges(self):
+        # a NaN input forced past validation is caught at the first step
+        cfg = circuit(np.eye(2), 0.25, [1.0, 1.0], [0.0, 0.0], duration=1.0, onset=1.0)
+        object.__setattr__(cfg, "x", np.array([np.nan, 1.0]))
+        with pytest.raises(Divergence, match=r"at t=0\.01$"):
             simulate(cfg)
 
 
@@ -146,6 +174,13 @@ class TestConfigValidation:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="vectors"):
             circuit(np.eye(2), 0.1, np.zeros(3), np.zeros(2))
+
+    def test_rejects_non_finite_inputs(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                circuit(np.eye(2), 0.1, [bad, 1.0], np.zeros(2))
+            with pytest.raises(ValueError, match="finite"):
+                circuit(np.eye(2), 0.1, np.zeros(2), [1.0, bad])
 
     def test_rejects_singular_weight(self):
         from gaitprop.linalg import SingularMatrix

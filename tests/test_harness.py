@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gaitprop import Activation, IncrementalConfig, forward, harness, make_rng
-from gaitprop.data import synthetic_teacher, synthetic_teacher_quantized, write_idx
+from gaitprop.data import Dataset, synthetic_teacher, synthetic_teacher_quantized, write_idx
 from gaitprop.harness import (
     ConfigError,
     ExperimentConfig,
@@ -286,6 +286,33 @@ class TestAlignExperiment:
     def test_too_many_samples_rejected(self):
         with pytest.raises(ConfigError, match="available"):
             align_experiment(replace(TINY, train_samples=8), n_samples=99)
+
+    def test_draws_only_the_samples_it_reads(self, monkeypatch):
+        # the reports must equal those of a run that draws the whole
+        # train + test set and keeps its first rows
+        drawn = []
+
+        def spy(n_in, depth, classes, samples, rng):
+            drawn.append(samples)
+            return synthetic_teacher(n_in, depth, classes, samples, rng)
+
+        def full_draw(n_in, depth, classes, samples, rng):
+            full = synthetic_teacher(n_in, depth, classes,
+                                     TINY.train_samples + TINY.test_samples, rng)
+            return Dataset(full.inputs[:samples], full.labels[:samples], classes)
+
+        monkeypatch.setattr(harness, "synthetic_teacher", spy)
+        reports = align_experiment(TINY, n_samples=16)
+        assert drawn == [16]
+        monkeypatch.setattr(harness, "synthetic_teacher", full_draw)
+        full = align_experiment(TINY, n_samples=16)
+        for init in ("orthogonal", "xavier"):
+            for rule in ("tp", "gait"):
+                got, want = reports[init][rule], full[init][rule]
+                assert got.cosines == want.cosines
+                assert got.norm_ratios == want.norm_ratios
+                for a, b in zip(got.scatter, want.scatter, strict=True):
+                    assert np.array_equal(a, b)
 
 
 class TestEquilibriumSweep:

@@ -1,10 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from gaitprop import AdamState, adam_step
 from gaitprop.linalg import make_rng
 
-from conftest import make_net
+from conftest import adam_step_oracle, make_net
 
 
 def constant_update(net, value):
@@ -79,6 +81,24 @@ class TestAdamStep:
             results.append([l.weight.copy() for l in net.layers])
         for a, b in zip(*results):
             assert np.array_equal(a, b)
+
+    def test_bytes_match_fresh_array_step(self):
+        # in-place moments must round exactly as the fresh-array formulas;
+        # zero entries check that the sign of a zero survives too
+        net = make_net([12, 9, 7], 5, seed=9)
+        state = AdamState(net, eta=1e-3)
+        ref_net, ref_state = copy.deepcopy(net), copy.deepcopy(state)
+        rng = make_rng(10)
+        for _ in range(30):
+            upd = [rng.standard_normal(l.weight.shape) * (rng.random(l.weight.shape) > 0.2)
+                   for l in net.layers]
+            adam_step(state, net, upd)
+            adam_step_oracle(ref_state, ref_net, upd)
+        assert state.t == ref_state.t == 30
+        for i, (layer, ref) in enumerate(zip(net.layers, ref_net.layers)):
+            assert layer.weight.tobytes() == ref.weight.tobytes()
+            assert state.m[i].tobytes() == ref_state.m[i].tobytes()
+            assert state.v[i].tobytes() == ref_state.v[i].tobytes()
 
     def test_shape_mismatch_rejected(self):
         net = make_net([6, 6], 3, seed=6)
