@@ -13,12 +13,14 @@ analytic steady state up to roundoff.
 
 The inputs x and t2 must be finite. Divergence is found after integration:
 the first sample whose state magnitude exceeds the limit, or is NaN, names
-the time reported.
+the time reported. Circuits that differ only in nu, x and t2 can be
+integrated together, in one lockstep loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,47 +68,78 @@ class CircuitConfig:
 @dataclass
 class Trajectory:
     times: np.ndarray          # (n_steps + 1,)
-    u1: np.ndarray             # (n_steps + 1, n)
+    u1: np.ndarray             # (n_steps + 1, n); (n_steps + 1, circuits, n) for a batch
     u2: np.ndarray
+    # per circuit of a batch: the time of its first sample past the limit,
+    # or None if it stayed within it
+    diverged_at: list[float | None] = field(default_factory=list)
 
 
-def simulate(cfg: CircuitConfig) -> Trajectory:
+def simulate(cfg: CircuitConfig | Sequence[CircuitConfig]) -> Trajectory:
     """Explicit-Euler integration from rest (u1 = u2 = 0).
 
-    Raises Divergence at the first sample whose state magnitude is not
-    within the limit (NaN included), after integrating the whole horizon.
+    A single config raises Divergence at the first sample whose state
+    magnitude is not within the limit (NaN included), after integrating the
+    whole horizon. A sequence of configs that share weight, tau, dt, duration
+    and onset is integrated in lockstep, each circuit byte-identical to its
+    own run; u1 and u2 gain a circuit axis and ``diverged_at`` reports each
+    circuit's divergence instead of raising.
     """
-    w = np.asarray(cfg.weight, dtype=np.float64)
+    batch = [cfg] if isinstance(cfg, CircuitConfig) else list(cfg)
+    if not batch:
+        raise ValueError("need at least one circuit")
+    first = batch[0]
+    if any(not np.array_equal(c.weight, first.weight)
+           or (c.tau, c.dt, c.duration, c.onset)
+           != (first.tau, first.dt, first.duration, first.onset) for c in batch):
+        raise ValueError("circuits of a batch must share weight, tau, dt, "
+                         "duration and onset")
+    w = np.asarray(first.weight, dtype=np.float64)
     w_inv = linalg.invert(w)
-    x = np.asarray(cfg.x, dtype=np.float64)
-    t2 = np.asarray(cfg.t2, dtype=np.float64)
-    n_steps = int(round(cfg.duration / cfg.dt))
-    times = np.arange(n_steps + 1) * cfg.dt
-    u1 = np.zeros((n_steps + 1, w.shape[0]))
-    u2 = np.zeros_like(u1)
-    a = cfg.dt / cfg.tau
-    nu = cfg.coupling
-    targets = [t2 if on else 0.0 for on in (times[:-1] >= cfg.onset).tolist()]
-    # Each step is the IEEE operation sequence of -u1 + x + nu (W^-1 u2) and
+    n_steps = int(round(first.duration / first.dt))
+    times = np.arange(n_steps + 1) * first.dt
+    k_onset = int(np.count_nonzero(times[:-1] < first.onset))
+    a = first.dt / first.tau
+    nu = np.array([[c.coupling] for c in batch])
+    # state[k, c] is circuit c's [u1; u2] at sample k. Per step, drive holds
+    # [x; W u1] and feed [nu W^-1 u2; target], so that
+    #   du = (drive - state[k] + feed) * a
+    # is the IEEE operation sequence of -u1 + x + nu (W^-1 u2) and
     # -u2 + W u1 + target: x - u1 and W u1 - u2 round exactly as -u1 + x and
-    # -u2 + W u1.
+    # -u2 + W u1. Each stacked matmul runs one gemv per circuit, which rounds
+    # as w @ v does; the gemm form V @ w.T does not.
+    state = np.zeros((n_steps + 1, len(batch), 2, w.shape[0]))
+    drive = np.zeros(state.shape[1:])
+    drive[:, 0] = [np.asarray(c.x, dtype=np.float64) for c in batch]
+    feed = np.zeros_like(drive)
+    du = np.empty_like(drive)
+    w_u1, w_inv_u2 = drive[:, 1, :, None], feed[:, 0, :, None]
+    nu_w_inv_u2 = feed[:, 0]
+    u1, u2 = state[:, :, 0], state[:, :, 1]
+    steps = zip(state[:-1], state[1:], u1[:, :, :, None], u2[:, :, :, None])
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, target in enumerate(targets):
-            v1, v2 = u1[k], u2[k]
-            du1 = x - v1
-            du1 += nu * (w_inv @ v2)
-            du2 = w @ v1 - v2
-            du2 += target
-            du1 *= a
-            du2 *= a
-            np.add(v1, du1, out=u1[k + 1])
-            np.add(v2, du2, out=u2[k + 1])
-        peak = np.maximum(np.abs(u1).max(axis=1), np.abs(u2).max(axis=1))
-        bad = np.flatnonzero(~(peak <= _DIVERGENCE_LIMIT))
-    if bad.size:
-        raise Divergence(f"state magnitude exceeded {_DIVERGENCE_LIMIT:g} "
-                         f"at t={times[bad[0]]:.6g}")
-    return Trajectory(times=times, u1=u1, u2=u2)
+        for k, (now, after, u1_cols, u2_cols) in enumerate(steps):
+            if k == k_onset:
+                feed[:, 1] = [np.asarray(c.t2, dtype=np.float64) for c in batch]
+            np.matmul(w, u1_cols, out=w_u1)
+            np.matmul(w_inv, u2_cols, out=w_inv_u2)
+            np.multiply(nu, nu_w_inv_u2, out=nu_w_inv_u2)
+            np.subtract(drive, now, out=du)
+            du += feed
+            du *= a
+            np.add(now, du, out=after)
+        # max(state, -min(state)) is max |state|, NaN included, with no
+        # full-size copy of the state
+        peak = np.maximum(state.max(axis=(2, 3)), -state.min(axis=(2, 3)))
+        bad = ~(peak <= _DIVERGENCE_LIMIT)
+    diverged_at = [float(times[bad[:, c].argmax()]) if bad[:, c].any() else None
+                   for c in range(len(batch))]
+    if isinstance(cfg, CircuitConfig):
+        if diverged_at[0] is not None:
+            raise Divergence(f"state magnitude exceeded {_DIVERGENCE_LIMIT:g} "
+                             f"at t={diverged_at[0]:.6g}")
+        u1, u2 = u1[:, 0], u2[:, 0]
+    return Trajectory(times=times, u1=u1, u2=u2, diverged_at=diverged_at)
 
 
 def equilibria(cfg: CircuitConfig) -> tuple[np.ndarray, np.ndarray, float]:

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, files, linalg
 from .data import Dataset, batches, check_teacher, load_idx, one_hot_batch, synthetic_teacher
 from .diagnostics import AlignmentReport, align, ortho_drift
-from .dynamics import CircuitConfig, Divergence, equilibria, simulate
+from .dynamics import CircuitConfig, equilibria, simulate
 from .network import Activation, Network, build_network, check_widths, forward, \
     output, save_checkpoint
 from .optim import AdamState, adam_step
@@ -434,8 +434,9 @@ def align_experiment(cfg: ExperimentConfig, n_samples: int
     for both init modes. Returns reports keyed [init][rule]."""
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
-    if cfg.dataset == "idx":
-        train_ds, _ = _load_datasets(cfg)
+    if cfg.dataset == "idx":  # the train pair only
+        train_ds = _load_idx_split(cfg, cfg.resolved_widths()[0], cfg.train_images,
+                                   cfg.train_labels, cfg.train_samples)
     else:  # draw only the rows that are read
         train_ds = _draw_teacher(cfg, min(n_samples, cfg.train_samples))
     if n_samples > len(train_ds):
@@ -461,7 +462,8 @@ def equilibrium_sweep(nus, seed: int = 0, dt: float = 0.01, onset: float = 50.0,
 
     The circuit has 4 units and tau = 1. Its weight is a random invertible
     matrix with singular values in [0.5, 2]; x and t2 are standard normal
-    draws, all pinned by the seed.
+    draws, all pinned by the seed. All couplings run in one lockstep
+    ``simulate`` call.
     """
     size = 4
     rng = linalg.make_rng(seed)
@@ -474,18 +476,17 @@ def equilibrium_sweep(nus, seed: int = 0, dt: float = 0.01, onset: float = 50.0,
                               dt=dt, duration=duration, onset=onset) for nu in nus]
     if not circuits:
         raise ConfigError("the equilibrium sweep needs a non-empty nu list")
+    traj = simulate(circuits)
+    k_onset = int(round(onset / dt))
     rows = []
-    for cfg in circuits:
+    for i, cfg in enumerate(circuits):
         y1, y1_shifted, gamma = equilibria(cfg)
-        row = {"nu": cfg.coupling, "gamma": gamma, "diverged": False,
+        row = {"nu": cfg.coupling, "gamma": gamma,
+               "diverged": traj.diverged_at[i] is not None,
                "err_before_onset": float("nan"), "err_after_onset": float("nan")}
-        try:
-            traj = simulate(cfg)
-            k_onset = int(round(onset / dt))
-            row["err_before_onset"] = float(np.abs(traj.u1[k_onset - 1] - y1).max())
-            row["err_after_onset"] = float(np.abs(traj.u1[-1] - y1_shifted).max())
-        except Divergence:
-            row["diverged"] = True
+        if not row["diverged"]:
+            row["err_before_onset"] = float(np.abs(traj.u1[k_onset - 1, i] - y1).max())
+            row["err_after_onset"] = float(np.abs(traj.u1[-1, i] - y1_shifted).max())
         rows.append(row)
     return rows
 

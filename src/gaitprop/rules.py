@@ -229,12 +229,13 @@ def ortho_penalty(w: np.ndarray, lam: float, mode: str = "mask") -> float:
     products); ``mode="product"`` reads it as a matrix product.
     """
     w = linalg.as_matrix(w)
-    gram = w @ w.T
-    k = 1.0 - np.eye(w.shape[0])
+    off = w @ w.T
     if mode == "mask":
-        off = gram * k
+        # the diagonal is a sum of squares, so zeroing it gives the same
+        # +0.0 that multiplying by the mask does
+        np.fill_diagonal(off, 0.0)
     elif mode == "product":
-        off = gram @ k
+        off = off @ (1.0 - np.eye(w.shape[0]))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return float(lam * np.sum(off * off))
@@ -248,10 +249,11 @@ def ortho_reg_grad(w: np.ndarray, lam: float, mode: str = "mask") -> np.ndarray:
     if lam == 0.0:
         return np.zeros_like(w)
     gram = w @ w.T
-    k = 1.0 - np.eye(w.shape[0])
     if mode == "mask":
-        return 4.0 * lam * ((gram * k) @ w)
+        np.fill_diagonal(gram, 0.0)  # as in ortho_penalty
+        return 4.0 * lam * (gram @ w)
     if mode == "product":
+        k = 1.0 - np.eye(w.shape[0])
         k2 = k @ k
         x = gram @ k2 + k2 @ gram
         return 2.0 * lam * (x @ w)

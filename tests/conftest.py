@@ -1,6 +1,6 @@
 """Shared builders for networks, controlled random matrices, and
-finite-difference, exact-inverse, absolute-target, Euler-loop and Adam-step
-oracles."""
+finite-difference, exact-inverse, absolute-target, Euler-loop, masked
+regularizer and Adam-step oracles."""
 
 import numpy as np
 import pytest
@@ -151,6 +151,14 @@ def euler_oracle(cfg: CircuitConfig) -> Trajectory:
             raise Divergence(f"state magnitude exceeded {_DIVERGENCE_LIMIT:g} "
                              f"at t={times[k + 1]:.6g}")
     return Trajectory(times=times, u1=u1, u2=u2)
+
+
+def masked_ortho_oracle(w: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
+    """The mask-mode regularizer with the mask J - I built and multiplied in,
+    as (penalty, gradient); ``ortho_penalty`` and ``ortho_reg_grad`` must
+    match it byte for byte."""
+    off = (w @ w.T) * (1.0 - np.eye(w.shape[0]))
+    return float(lam * np.sum(off * off)), 4.0 * lam * (off @ w)
 
 
 def adam_step_oracle(state, net, deltas) -> None:

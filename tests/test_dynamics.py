@@ -5,6 +5,7 @@ import scipy.linalg as sla
 from gaitprop.dynamics import (
     CircuitConfig,
     Divergence,
+    Trajectory,
     equilibria,
     simulate,
 )
@@ -31,6 +32,16 @@ def exact_state(cfg: CircuitConfig, horizon: float) -> np.ndarray:
     steady = -np.linalg.solve(a, b)
     u0 = -steady
     return sla.expm(a * horizon) @ u0 + steady
+
+
+def circuit_of(batch: Trajectory, i: int) -> Trajectory:
+    return Trajectory(times=batch.times, u1=batch.u1[:, i], u2=batch.u2[:, i])
+
+
+def assert_same_bytes(got: Trajectory, want: Trajectory, where) -> None:
+    for name in ("times", "u1", "u2"):
+        assert getattr(got, name).shape == getattr(want, name).shape, (name, where)
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, where)
 
 
 class TestSimulate:
@@ -83,18 +94,25 @@ class TestSimulate:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
     def test_bytes_match_step_by_step_loop(self, n):
+        # alone and in lockstep batches of 1-5, every circuit equals its own
+        # step-by-step run
         rng = make_rng(60 + n)
         w = controlled_matrix(n, rng)
-        x = rng.standard_normal(n)
-        t2 = rng.standard_normal(n)
-        for nu in (0.0, 0.25, 0.9):
-            for onset in (0.0, 1.5, 3.0):
-                for tau in (0.5, 1.0):
-                    cfg = circuit(w, nu, x, t2, tau=tau, duration=3.0, onset=onset)
-                    got, want = simulate(cfg), euler_oracle(cfg)
-                    for name in ("times", "u1", "u2"):
-                        assert getattr(got, name).tobytes() == \
-                            getattr(want, name).tobytes(), (name, nu, onset, tau)
+        nus = (0.0, 0.25, 0.9, 0.5, 0.1)
+        xs = rng.standard_normal((len(nus), n))
+        t2s = rng.standard_normal((len(nus), n))
+        for onset in (0.0, 1.5, 3.0):
+            for tau in (0.5, 1.0):
+                cfgs = [circuit(w, nu, x, t2, tau=tau, duration=3.0, onset=onset)
+                        for nu, x, t2 in zip(nus, xs, t2s)]
+                wants = [euler_oracle(cfg) for cfg in cfgs]
+                for cfg, want in zip(cfgs, wants):
+                    assert_same_bytes(simulate(cfg), want, (cfg.coupling, onset, tau))
+                for size in range(1, len(cfgs) + 1):
+                    got = simulate(cfgs[:size])
+                    assert got.diverged_at == [None] * size
+                    for i, want in enumerate(wants[:size]):
+                        assert_same_bytes(circuit_of(got, i), want, (size, i, onset, tau))
 
     def test_divergence_detected(self):
         # force unstable couplings past validation to exercise the guard; at
@@ -108,6 +126,31 @@ class TestSimulate:
             with pytest.raises(Divergence) as got:
                 simulate(cfg)
             assert str(got.value) == str(want.value)
+
+    def test_divergence_in_a_batch_flags_only_its_circuit(self):
+        for coupling in (150.0, 1e300):
+            cfgs = [circuit(np.eye(2), nu, [1.0, -0.5], [0.3, 0.2],
+                            duration=50.0, onset=20.0) for nu in (0.1, 0.4, 0.25)]
+            object.__setattr__(cfgs[1], "coupling", coupling)
+            got = simulate(cfgs)
+            with pytest.raises(Divergence) as want:
+                euler_oracle(cfgs[1])
+            assert got.diverged_at[0] is None and got.diverged_at[2] is None
+            assert str(want.value).endswith(f"at t={got.diverged_at[1]:.6g}")
+            for i in (0, 2):
+                assert_same_bytes(circuit_of(got, i), euler_oracle(cfgs[i]), i)
+
+    @pytest.mark.parametrize("change", [
+        {"w": 2.0 * np.eye(2)}, {"dt": 0.02}, {"tau": 0.5}, {"onset": 10.0},
+        {"duration": 60.0},
+    ])
+    def test_batch_must_share_all_but_coupling_and_inputs(self, change):
+        base = dict(w=np.eye(2), nu=0.25, x=[1.0, 0.0], t2=[0.0, 1.0])
+        cfgs = [circuit(**base), circuit(**{**base, "nu": 0.1, **change})]
+        with pytest.raises(ValueError, match="share"):
+            simulate(cfgs)
+        with pytest.raises(ValueError, match="at least one"):
+            simulate([])
 
     def test_non_finite_state_diverges(self):
         # a NaN input forced past validation is caught at the first step

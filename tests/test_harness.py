@@ -1,12 +1,15 @@
-import json
 import csv
+import json
+import os
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from gaitprop import Activation, IncrementalConfig, forward, harness, make_rng
-from gaitprop.data import Dataset, synthetic_teacher, synthetic_teacher_quantized, write_idx
+from gaitprop.data import (Dataset, load_idx, synthetic_teacher, synthetic_teacher_quantized,
+                           write_idx)
+from gaitprop.dynamics import equilibria, simulate
 from gaitprop.harness import (
     ConfigError,
     ExperimentConfig,
@@ -24,7 +27,7 @@ from gaitprop.harness import (
     _derived_seed,
 )
 
-from conftest import make_net
+from conftest import euler_oracle, make_net
 
 DESK = ExperimentConfig(width=16, depth=3, classes=4, dataset="synthetic",
                         teacher_depth=2, train_samples=2000, test_samples=1000,
@@ -147,17 +150,8 @@ class TestTrain:
             train(replace(TINY, rule="bp", eta=1e150, epochs=3))
 
     def test_idx_dataset_path(self, tmp_path):
-        pixels, labels = synthetic_teacher_quantized(16, 2, 4, 80, seed=9)
-        for name, sl in (("train", slice(0, 60)), ("test", slice(60, None))):
-            write_idx(pixels[sl].reshape(-1, 4, 4), labels[sl].astype(np.uint8),
-                      tmp_path / f"{name}-img", tmp_path / f"{name}-lab")
-        cfg = replace(TINY, dataset="idx", classes=4,
-                      train_images=str(tmp_path / "train-img"),
-                      train_labels=str(tmp_path / "train-lab"),
-                      test_images=str(tmp_path / "test-img"),
-                      test_labels=str(tmp_path / "test-lab"),
-                      train_samples=0, test_samples=0, epochs=1)
-        rec = train(cfg)
+        rec = train(replace(idx_config(tmp_path), train_samples=0, test_samples=0,
+                            epochs=1))
         assert len(rec.epochs) == 1
 
     def test_checkpoint_saved(self, tmp_path):
@@ -178,6 +172,19 @@ class TestTrain:
         assert bp.peak_train_acc >= 0.95       # measured 0.9705
         assert gait.peak_train_acc >= 0.95     # measured 0.9515
         assert abs(bp.final_train_acc - gait.final_train_acc) <= 0.02  # 0.0175
+
+
+def idx_config(tmp_path) -> ExperimentConfig:
+    """TINY on IDX files: 60 train and 20 test images of 4x4 pixels."""
+    pixels, labels = synthetic_teacher_quantized(16, 2, 4, 80, seed=9)
+    for name, sl in (("train", slice(0, 60)), ("test", slice(60, None))):
+        write_idx(pixels[sl].reshape(-1, 4, 4), labels[sl].astype(np.uint8),
+                  tmp_path / f"{name}-img", tmp_path / f"{name}-lab")
+    return replace(TINY, dataset="idx", classes=4,
+                   train_images=str(tmp_path / "train-img"),
+                   train_labels=str(tmp_path / "train-lab"),
+                   test_images=str(tmp_path / "test-img"),
+                   test_labels=str(tmp_path / "test-lab"))
 
 
 def _no_training(*args, **kwargs):
@@ -315,7 +322,45 @@ class TestAlignExperiment:
                     assert np.array_equal(a, b)
 
 
+    def test_idx_reads_only_the_train_pair(self, tmp_path, monkeypatch):
+        cfg = idx_config(tmp_path)
+        loaded = []
+
+        def spy(images, labels, n_classes):
+            loaded.append((os.path.basename(images), os.path.basename(labels)))
+            return load_idx(images, labels, n_classes)
+
+        monkeypatch.setattr(harness, "load_idx", spy)
+        reports = align_experiment(cfg, n_samples=8)
+        assert loaded == [("train-img", "train-lab")]
+        assert len(reports["orthogonal"]["gait"].cosines) == 3
+
+
 class TestEquilibriumSweep:
+    def test_one_lockstep_call_matches_per_coupling_oracle(self, monkeypatch):
+        # the benchmark traces harness.simulate: one call for all couplings,
+        # with the rows a step-by-step run of each coupling gives
+        nus = [0.0, 0.1, 0.25, 0.4]
+        calls = []
+
+        def spy(circuits):
+            calls.append(list(circuits))
+            return simulate(circuits)
+
+        monkeypatch.setattr(harness, "simulate", spy)
+        rows = equilibrium_sweep(nus, seed=7)
+        assert len(calls) == 1
+        assert [cfg.coupling for cfg in calls[0]] == nus
+        k_onset = int(round(50.0 / 0.01))
+        want = []
+        for cfg in calls[0]:
+            traj = euler_oracle(cfg)
+            y1, y1_shifted, gamma = equilibria(cfg)
+            want.append({"nu": cfg.coupling, "gamma": gamma, "diverged": False,
+                         "err_before_onset": float(np.abs(traj.u1[k_onset - 1] - y1).max()),
+                         "err_after_onset": float(np.abs(traj.u1[-1] - y1_shifted).max())})
+        assert rows == want
+
     def test_every_circuit_checked_before_any_runs(self, monkeypatch):
         monkeypatch.setattr(harness, "simulate", _no_training)
         with pytest.raises(ValueError, match="coupling"):

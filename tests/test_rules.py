@@ -26,6 +26,7 @@ from conftest import (
     fd_weight_grad,
     loss_to_target,
     make_net,
+    masked_ortho_oracle,
     net_from_weights,
     quadratic_loss,
     sample_away_from_kinks,
@@ -414,6 +415,15 @@ class TestOrthoRegularizer:
     def test_unknown_mode(self, rng):
         with pytest.raises(ValueError, match="mode"):
             ortho_reg_grad(np.eye(3), 1.0, "spectral")
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 256])
+    def test_mask_bytes_match_multiplied_mask(self, n, rng):
+        for w in (rng.standard_normal((n, n)), orthogonal_init(n, rng),
+                  xavier_init(n, n, rng), np.zeros((n, n))):
+            for lam in (1e-3, 0.7):
+                penalty, grad = masked_ortho_oracle(w, lam)
+                assert ortho_penalty(w, lam) == penalty
+                assert ortho_reg_grad(w, lam).tobytes() == grad.tobytes()
 
 
 def crafted_kink_family(seed, gamma_big=1e-3, m=60, n=12, depth=4):
