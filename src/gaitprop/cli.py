@@ -17,7 +17,6 @@ import numpy as np
 from . import files, linalg
 from .data import IdxError, synthetic_teacher_quantized, write_idx
 from .diagnostics import write_alignment_csv, write_scatter_csv
-from .dynamics import Divergence
 from .harness import (
     ConfigError,
     DEFAULT_ETAS,
@@ -113,7 +112,7 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
-    try:  # the sweep builds, and so checks, every circuit before it runs one
+    try:  # the sweep's one config checks every coupling before any runs
         rows = equilibrium_sweep(_parse_floats(args.nus), seed=args.seed, dt=args.dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -225,7 +224,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return 2
-    except (TrainingDiverged, Divergence) as exc:
+    except TrainingDiverged as exc:
         print(f"error[divergence]: {exc}", file=sys.stderr)
         return 1
     except linalg.SingularMatrix as exc:

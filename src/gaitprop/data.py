@@ -8,6 +8,8 @@ raw unsigned-byte payload.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -73,10 +75,13 @@ def _read_idx_array(path, expected_magic: int, n_dims: int, what: str) -> np.nda
         if magic != expected_magic:
             raise BadMagic(f"{what}: magic 0x{magic:08x}, expected 0x{expected_magic:08x}")
         dims = struct.unpack(f">{n_dims}I", _read_exact(fh, 4 * n_dims, f"{what} dims"))
-        count = int(np.prod(dims)) if dims else 0
-        payload = _read_exact(fh, count, f"{what} payload")
-        if fh.read(1):
+        count = math.prod(dims)  # exact, where np.prod wraps past 2**63
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if count > left:
+            raise TruncatedFile(f"expected {count} bytes for {what} payload, got {left}")
+        if count < left:
             raise IdxError(f"{what}: trailing bytes after payload")
+        payload = _read_exact(fh, count, f"{what} payload")
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 

@@ -298,7 +298,7 @@ def evaluate(net: Network, ds: Dataset) -> tuple[float, float]:
     return hits / len(ds), loss_sum / len(ds)
 
 
-# Divergence is reported by the finiteness checks in the loop, not by numpy warnings.
+# The finiteness checks in the loop report divergence, not numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def train(cfg: ExperimentConfig,
           data: tuple[Dataset, Dataset] | None = None) -> RunRecord:
@@ -434,13 +434,15 @@ def align_experiment(cfg: ExperimentConfig, n_samples: int
     for both init modes. Returns reports keyed [init][rule]."""
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
-    if cfg.dataset == "idx":  # the train pair only
+    available = cfg.train_samples
+    if cfg.dataset == "idx":  # the train pair only; loading it counts its rows
         train_ds = _load_idx_split(cfg, cfg.resolved_widths()[0], cfg.train_images,
                                    cfg.train_labels, cfg.train_samples)
-    else:  # draw only the rows that are read
-        train_ds = _draw_teacher(cfg, min(n_samples, cfg.train_samples))
-    if n_samples > len(train_ds):
-        raise ConfigError(f"only {len(train_ds)} samples available")
+        available = len(train_ds)
+    if n_samples > available:
+        raise ConfigError(f"only {available} samples available")
+    if cfg.dataset != "idx":  # draw only the rows that are read
+        train_ds = _draw_teacher(cfg, n_samples)
     x = train_ds.inputs[:n_samples].T
     t = one_hot_batch(train_ds.labels[:n_samples], train_ds.n_classes)
     inc = IncrementalConfig(gamma=cfg.gamma)
@@ -465,28 +467,26 @@ def equilibrium_sweep(nus, seed: int = 0, dt: float = 0.01, onset: float = 50.0,
     draws, all pinned by the seed. All couplings run in one lockstep
     ``simulate`` call.
     """
+    nus = tuple(float(nu) for nu in nus)
     size = 4
     rng = linalg.make_rng(seed)
     u = linalg.orthogonal_init(size, rng)
     v = linalg.orthogonal_init(size, rng)
     w = u @ np.diag(rng.uniform(0.5, 2.0, size)) @ v
-    x = rng.standard_normal(size)
-    t2 = rng.standard_normal(size)
-    circuits = [CircuitConfig(weight=w, coupling=float(nu), tau=1.0, x=x, t2=t2,
-                              dt=dt, duration=duration, onset=onset) for nu in nus]
-    if not circuits:
-        raise ConfigError("the equilibrium sweep needs a non-empty nu list")
-    traj = simulate(circuits)
+    cfg = CircuitConfig(weight=w, couplings=nus, tau=1.0, x=rng.standard_normal(size),
+                        t2=rng.standard_normal(size), dt=dt, duration=duration,
+                        onset=onset)
+    traj = simulate(cfg)
+    y1, y1_shifted, gamma = equilibria(cfg)
     k_onset = int(round(onset / dt))
     rows = []
-    for i, cfg in enumerate(circuits):
-        y1, y1_shifted, gamma = equilibria(cfg)
-        row = {"nu": cfg.coupling, "gamma": gamma,
+    for i, nu in enumerate(nus):
+        row = {"nu": nu, "gamma": float(gamma[i]),
                "diverged": traj.diverged_at[i] is not None,
                "err_before_onset": float("nan"), "err_after_onset": float("nan")}
         if not row["diverged"]:
-            row["err_before_onset"] = float(np.abs(traj.u1[k_onset - 1, i] - y1).max())
-            row["err_after_onset"] = float(np.abs(traj.u1[-1, i] - y1_shifted).max())
+            row["err_before_onset"] = float(np.abs(traj.u1[k_onset - 1, i] - y1[i]).max())
+            row["err_after_onset"] = float(np.abs(traj.u1[-1, i] - y1_shifted[i]).max())
         rows.append(row)
     return rows
 

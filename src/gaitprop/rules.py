@@ -229,6 +229,8 @@ def ortho_penalty(w: np.ndarray, lam: float, mode: str = "mask") -> float:
     products); ``mode="product"`` reads it as a matrix product.
     """
     w = linalg.as_matrix(w)
+    if lam < 0:
+        raise ValueError("lambda must be non-negative")
     off = w @ w.T
     if mode == "mask":
         # the diagonal is a sum of squares, so zeroing it gives the same

@@ -7,7 +7,7 @@ import pytest
 
 from gaitprop import (Activation, ForwardTrace, Layer, Network, TargetStack, build_network,
                       forward)
-from gaitprop.dynamics import _DIVERGENCE_LIMIT, CircuitConfig, Divergence, Trajectory
+from gaitprop.dynamics import _DIVERGENCE_LIMIT, CircuitConfig, Trajectory
 from gaitprop.linalg import invert, make_rng, orthogonal_init
 from gaitprop.network import _as_columns
 
@@ -129,9 +129,11 @@ def sample_away_from_kinks(net: Network, rng: np.random.Generator,
     raise AssertionError("no kink-free sample found; widen margin or reseed")
 
 
-def euler_oracle(cfg: CircuitConfig) -> Trajectory:
-    """The circuit's Euler loop written step by step, with the divergence
-    check inside the loop; ``simulate`` must match it byte for byte."""
+def euler_oracle(cfg: CircuitConfig, nu: float) -> Trajectory:
+    """The circuit's Euler loop at one coupling, written step by step, with
+    the divergence check inside the loop; ``simulate`` must match it byte for
+    byte. A diverging run stops at the first sample past the limit (NaN
+    included) and reports that sample's time."""
     w = np.asarray(cfg.weight, dtype=np.float64)
     w_inv = invert(w)
     x = np.asarray(cfg.x, dtype=np.float64)
@@ -143,14 +145,15 @@ def euler_oracle(cfg: CircuitConfig) -> Trajectory:
     a = cfg.dt / cfg.tau
     for k in range(n_steps):
         target = t2 if times[k] >= cfg.onset else 0.0
-        du1 = -u1[k] + x + cfg.coupling * (w_inv @ u2[k])
+        du1 = -u1[k] + x + nu * (w_inv @ u2[k])
         du2 = -u2[k] + w @ u1[k] + target
         u1[k + 1] = u1[k] + a * du1
         u2[k + 1] = u2[k] + a * du2
-        if max(np.abs(u1[k + 1]).max(), np.abs(u2[k + 1]).max()) > _DIVERGENCE_LIMIT:
-            raise Divergence(f"state magnitude exceeded {_DIVERGENCE_LIMIT:g} "
-                             f"at t={times[k + 1]:.6g}")
-    return Trajectory(times=times, u1=u1, u2=u2)
+        if not (np.abs(u1[k + 1]).max() <= _DIVERGENCE_LIMIT
+                and np.abs(u2[k + 1]).max() <= _DIVERGENCE_LIMIT):
+            return Trajectory(times=times, u1=u1, u2=u2,
+                              diverged_at=[float(times[k + 1])])
+    return Trajectory(times=times, u1=u1, u2=u2, diverged_at=[None])
 
 
 def masked_ortho_oracle(w: np.ndarray, lam: float) -> tuple[float, np.ndarray]:

@@ -152,6 +152,31 @@ def test_idx_shape_mismatch_exits_2(argv, idx_args, tmp_path, capsys):
     assert not (tmp_path / "out" / "run.json").exists()
 
 
+# Corruptions of the train image file, each a malformed IDX file rather than
+# a config mistake; the last two declare far more payload than the file holds.
+BAD_IDX_IMAGES = {
+    "bad_magic": lambda blob: b"\x00\x00\x08\x99" + blob[4:],
+    "truncated_header": lambda blob: blob[:6],
+    "truncated_payload": lambda blob: blob[:-5],
+    "trailing_bytes": lambda blob: blob + b"\x00",
+    "oversized_header": lambda blob: struct.pack(">IIII", 0x803, 60000, 65536, 65536),
+    "wrapping_header": lambda blob: struct.pack(">IIII", 0x803, *(2**22,) * 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_IDX_IMAGES))
+def test_corrupt_idx_exits_1(case, idx_args, tmp_path, capsys):
+    images = tmp_path / "data" / "train-images-idx3-ubyte"
+    images.write_bytes(BAD_IDX_IMAGES[case](images.read_bytes()))
+    capsys.readouterr()
+    code = main(["train"] + idx_args + ["--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error[")
+    assert not lines[0].startswith("error[config]")
+    assert not (tmp_path / "out" / "run.json").exists()
+
+
 # Byte offsets into a checkpoint of a 16-16-16 net: the header is 12
 # bytes and each layer header 17 (total u32, forward u32, kind u8, slope f64).
 BAD_CHECKPOINT_VALUES = {

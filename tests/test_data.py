@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -87,6 +88,16 @@ class TestIdxErrors:
         noisy.write_bytes(ip.read_bytes() + b"\x00")
         with pytest.raises(IdxError, match="trailing"):
             load_idx(noisy, lp)
+
+    @pytest.mark.parametrize("dims", [(60000, 65536, 65536), (2**22,) * 3])
+    def test_oversized_header(self, tmp_path, idx_pair, dims):
+        # sized exactly (2**66 wraps to 0 in int64) and checked against the
+        # file before any payload is read
+        _, lp, _, _ = idx_pair
+        huge = tmp_path / "huge"
+        huge.write_bytes(struct.pack(">IIII", 0x00000803, *dims))
+        with pytest.raises(TruncatedFile, match=f"expected {math.prod(dims)} bytes"):
+            load_idx(huge, lp)
 
 
 class TestOneHot:

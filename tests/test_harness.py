@@ -286,9 +286,12 @@ class TestAlignExperiment:
                 assert len(rep.cosines) == 3
 
     def test_bad_config_fails_before_data_loads(self, monkeypatch):
-        monkeypatch.setattr(harness, "_load_datasets", _no_training)
-        with pytest.raises(ConfigError, match="gamma"):
-            align_experiment(replace(TINY, gamma=2.0), n_samples=4)
+        monkeypatch.setattr(harness, "_draw_teacher", _no_training)
+        monkeypatch.setattr(harness, "_load_idx_split", _no_training)
+        with pytest.raises(ConfigError, match="n_samples"):
+            align_experiment(TINY, n_samples=0)
+        with pytest.raises(ConfigError, match="only 8 samples available"):
+            align_experiment(replace(TINY, train_samples=8), n_samples=99)
 
     def test_too_many_samples_rejected(self):
         with pytest.raises(ConfigError, match="available"):
@@ -343,29 +346,31 @@ class TestEquilibriumSweep:
         nus = [0.0, 0.1, 0.25, 0.4]
         calls = []
 
-        def spy(circuits):
-            calls.append(list(circuits))
-            return simulate(circuits)
+        def spy(cfg):
+            calls.append(cfg)
+            return simulate(cfg)
 
         monkeypatch.setattr(harness, "simulate", spy)
         rows = equilibrium_sweep(nus, seed=7)
         assert len(calls) == 1
-        assert [cfg.coupling for cfg in calls[0]] == nus
+        cfg = calls[0]
+        assert cfg.couplings == tuple(nus)
         k_onset = int(round(50.0 / 0.01))
+        y1, y1_shifted, gamma = equilibria(cfg)
         want = []
-        for cfg in calls[0]:
-            traj = euler_oracle(cfg)
-            y1, y1_shifted, gamma = equilibria(cfg)
-            want.append({"nu": cfg.coupling, "gamma": gamma, "diverged": False,
-                         "err_before_onset": float(np.abs(traj.u1[k_onset - 1] - y1).max()),
-                         "err_after_onset": float(np.abs(traj.u1[-1] - y1_shifted).max())})
+        for i, nu in enumerate(nus):
+            traj = euler_oracle(cfg, nu)
+            assert traj.diverged_at == [None]
+            want.append({"nu": nu, "gamma": float(gamma[i]), "diverged": False,
+                         "err_before_onset": float(np.abs(traj.u1[k_onset - 1] - y1[i]).max()),
+                         "err_after_onset": float(np.abs(traj.u1[-1] - y1_shifted[i]).max())})
         assert rows == want
 
     def test_every_circuit_checked_before_any_runs(self, monkeypatch):
         monkeypatch.setattr(harness, "simulate", _no_training)
         with pytest.raises(ValueError, match="coupling"):
             equilibrium_sweep([0.25, 1.5])
-        with pytest.raises(ConfigError, match="non-empty"):
+        with pytest.raises(ValueError, match="at least one coupling"):
             equilibrium_sweep([])
 
     def test_rows_and_gamma(self, tmp_path):

@@ -208,7 +208,7 @@ class TestAsMatrix:
         lambda w: ortho_penalty(w, 1.0),
         lambda w: ortho_reg_grad(w, 1.0),
         lambda w: Layer(w, Activation(), 2),
-        lambda w: CircuitConfig(weight=w, coupling=0.25, tau=1.0, x=np.zeros(2),
+        lambda w: CircuitConfig(weight=w, couplings=(0.25,), tau=1.0, x=np.zeros(2),
                                 t2=np.zeros(2), dt=0.01, duration=1.0, onset=0.5),
     ], ids=["as_matrix", "invert", "orthogonality_error", "ortho_penalty",
             "ortho_reg_grad", "Layer", "CircuitConfig"])

@@ -416,6 +416,11 @@ class TestOrthoRegularizer:
         with pytest.raises(ValueError, match="mode"):
             ortho_reg_grad(np.eye(3), 1.0, "spectral")
 
+    def test_negative_lambda_rejected(self):
+        for fn in (ortho_penalty, ortho_reg_grad):
+            with pytest.raises(ValueError, match="lambda must be non-negative"):
+                fn(2.0 * np.eye(3), -1.0)
+
     @pytest.mark.parametrize("n", [1, 2, 5, 64, 256])
     def test_mask_bytes_match_multiplied_mask(self, n, rng):
         for w in (rng.standard_normal((n, n)), orthogonal_init(n, rng),
