@@ -329,7 +329,7 @@ def train(cfg: ExperimentConfig,
             deltas = rule_updates(cfg.rule, net, trace, t, inc)
             if lam > 0.0:
                 for i, layer in enumerate(net.layers):
-                    deltas[i] = deltas[i] - ortho_reg_grad(layer.weight, lam, cfg.reg_mode)
+                    deltas[i] -= ortho_reg_grad(layer.weight, lam, cfg.reg_mode)
             try:
                 adam_step(state, net, deltas)
             except ValueError:  # the weight setter rejects non-finite entries

@@ -37,7 +37,7 @@ def as_matrix(values) -> np.ndarray:
     values fail at construction instead of deep inside a product chain.
     """
     m = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
@@ -58,8 +58,9 @@ def invert(m: np.ndarray) -> np.ndarray:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:
         raise SingularMatrix("exact zero pivot in the LU factorization") from None
+    # the 1-norms are column sums' maxima, as np.linalg.norm(., 1) computes them
     with np.errstate(all="ignore"):  # an overflow here is reported as rcond 0
-        rcond = 1.0 / (np.linalg.norm(m, 1) * np.linalg.norm(inv, 1))
+        rcond = 1.0 / (np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
     if not np.isfinite(rcond) or rcond < SINGULAR_RCOND:
         raise SingularMatrix(
             f"reciprocal condition number {rcond:.3e} below {SINGULAR_RCOND:.0e}"

@@ -27,6 +27,12 @@ class Activation:
     ``leaky_relu`` uses slope 1 for non-negative pre-activations and
     ``slope`` (in (0, 1)) for negative ones; the derivative at exactly zero
     is taken as 1 (right limit) so traces are deterministic.
+
+    Both are computed without a select on the sign mask, which costs about
+    four times as much as a branch-free pass on random signs. For slope in
+    (0, 1) rounding is monotone, so ``|fl(slope * x)| <= |x|`` and
+    ``max(x, slope * x)`` is ``x`` for ``x >= 0`` and ``slope * x`` below,
+    the same bytes as the select, ±0, subnormals and ±inf included.
     """
 
     kind: str = "leaky_relu"
@@ -41,12 +47,12 @@ class Activation:
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "linear":
             return np.asarray(x, dtype=np.float64).copy()
-        return np.where(x >= 0, x, self.slope * x)
+        return np.maximum(x, self.slope * x)
 
     def deriv(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "linear":
             return np.ones_like(np.asarray(x, dtype=np.float64))
-        return np.where(x >= 0, 1.0, self.slope)
+        return np.maximum(x >= 0, self.slope)
 
 
 class Layer:
@@ -169,7 +175,7 @@ def _as_columns(x: np.ndarray, width: int, label: str) -> np.ndarray:
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] != width:
         raise ValueError(f"{label}: expected {width} rows, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{label}: entries must be finite")
     return x
 

@@ -17,8 +17,10 @@ class AdamState:
 
     def __init__(self, net: Network, eta: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.99, eps: float = 1e-8):
-        if eta <= 0:
-            raise ValueError("eta must be positive")
+        if not 0.0 < eta < np.inf:
+            raise ValueError(f"eta must lie in (0, inf), got {eta}")
+        if not 0.0 < eps < np.inf:
+            raise ValueError(f"eps must lie in (0, inf), got {eps}")
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
         self.eta = eta

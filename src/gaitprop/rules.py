@@ -94,14 +94,21 @@ def _local_updates(
     trace: ForwardTrace, errs: list[np.ndarray], gamma: float = 1.0
 ) -> list[np.ndarray]:
     """The one local update, with ``s_l = gamma^-(top - l)``, one delta per
-    layer; batched traces yield the mean of the per-sample updates."""
+    layer; batched traces yield the mean of the per-sample updates.
+
+    The sign rides on the divisor, since ``(-a) / n == a / (-n)`` in IEEE
+    arithmetic, and a scale of exactly 1 (bp, tp and every top layer) is
+    not applied, so the update takes one pass after the product."""
     n = trace.n_samples
     top = trace.depth - 1
     deltas = []
     for l in range(trace.depth):
         d = trace.gains[l] * _pad_rows(errs[l], trace.activations[l].shape[0])
-        delta = -(d @ trace.layer_input(l).T) / n
-        delta *= gamma ** -(top - l)
+        delta = d @ trace.layer_input(l).T
+        np.divide(delta, -n, out=delta)
+        scale = gamma ** -(top - l)
+        if scale != 1.0:
+            delta *= scale
         deltas.append(delta)
     return deltas
 
@@ -123,17 +130,22 @@ def bp_updates(net: Network, trace: ForwardTrace, t_out: np.ndarray) -> list[np.
 def _inverse_displacement(act: np.ndarray, disp: np.ndarray, slope: float):
     """Exact f^-1(act) - f^-1(act - disp) for the piecewise-linear activation.
 
-    Computed branch-wise so that when both points share a linear piece the
-    result is disp times the inverse slope with no cancellation. Returns the
-    displacement in pre-activation space and the per-entry kink-crossing
-    mask.
+    With the slopes ``g_b`` at ``act`` and ``g_a`` at ``moved = act - disp``
+    (1 or ``slope``), the result is ``disp / g_b`` when both points share a
+    linear piece, with no cancellation, and ``act / g_b - moved / g_a`` when
+    they straddle the kink. Division by 1.0 is exact, so each case does the
+    operations of its own branch-wise formula. The slopes come from
+    branch-free maxima, and the one select is on the crossing mask, which
+    is rare for itp and gait. Returns the displacement in pre-activation
+    space and the per-entry kink-crossing mask.
     """
     moved = act - disp
     before = act >= 0
     after = moved >= 0
     crossed = before != after
-    v = np.where(before, np.where(after, disp, act - moved / slope),
-                 np.where(after, act / slope - moved, disp / slope))
+    g_b = np.maximum(before, slope)
+    g_a = np.maximum(after, slope)
+    v = np.where(crossed, act / g_b - moved / g_a, disp / g_b)
     return v, crossed
 
 
@@ -221,6 +233,11 @@ def gait_updates(
     return _target_updates(trace, targets, "gait", cfg.gamma)
 
 
+def _check_lambda(lam: float) -> None:
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be non-negative and finite, got {lam}")
+
+
 def ortho_penalty(w: np.ndarray, lam: float, mode: str = "mask") -> float:
     """Row-orthogonality penalty lambda * ||W W^T (J - I)||^2.
 
@@ -229,8 +246,7 @@ def ortho_penalty(w: np.ndarray, lam: float, mode: str = "mask") -> float:
     products); ``mode="product"`` reads it as a matrix product.
     """
     w = linalg.as_matrix(w)
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    _check_lambda(lam)
     off = w @ w.T
     if mode == "mask":
         # the diagonal is a sum of squares, so zeroing it gives the same
@@ -246,19 +262,22 @@ def ortho_penalty(w: np.ndarray, lam: float, mode: str = "mask") -> float:
 def ortho_reg_grad(w: np.ndarray, lam: float, mode: str = "mask") -> np.ndarray:
     """Gradient of ortho_penalty with respect to W (same mode semantics)."""
     w = linalg.as_matrix(w)
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    _check_lambda(lam)
     if lam == 0.0:
         return np.zeros_like(w)
     gram = w @ w.T
     if mode == "mask":
         np.fill_diagonal(gram, 0.0)  # as in ortho_penalty
-        return 4.0 * lam * (gram @ w)
+        grad = gram @ w
+        grad *= 4.0 * lam
+        return grad
     if mode == "product":
         k = 1.0 - np.eye(w.shape[0])
         k2 = k @ k
         x = gram @ k2 + k2 @ gram
-        return 2.0 * lam * (x @ w)
+        grad = x @ w
+        grad *= 2.0 * lam
+        return grad
     raise ValueError(f"unknown mode {mode!r}")
 
 

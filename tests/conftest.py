@@ -1,6 +1,6 @@
 """Shared builders for networks, controlled random matrices, and
 finite-difference, exact-inverse, absolute-target, Euler-loop, masked
-regularizer and Adam-step oracles."""
+regularizer, Adam-step and select-based leaky-ReLU kernel oracles."""
 
 import numpy as np
 import pytest
@@ -69,6 +69,42 @@ def activation_inverse(act: Activation, y: np.ndarray) -> np.ndarray:
     if act.kind == "linear":
         return np.asarray(y, dtype=np.float64).copy()
     return np.where(y >= 0, y, y / act.slope)
+
+
+def leaky_forward_oracle(act: Activation, x: np.ndarray) -> np.ndarray:
+    """The leaky ReLU as a select on the sign mask; ``Activation.forward``
+    must match it byte for byte."""
+    return np.where(x >= 0, x, act.slope * x)
+
+
+def leaky_deriv_oracle(act: Activation, x: np.ndarray) -> np.ndarray:
+    """The leaky-ReLU gain as a select; ``Activation.deriv`` must match it."""
+    return np.where(x >= 0, 1.0, act.slope)
+
+
+def inverse_displacement_oracle(act: np.ndarray, disp: np.ndarray, slope: float):
+    """f^-1(act) - f^-1(act - disp) as one select per pair of linear pieces;
+    ``rules._inverse_displacement`` must match it byte for byte."""
+    moved = act - disp
+    before = act >= 0
+    after = moved >= 0
+    v = np.where(before, np.where(after, disp, act - moved / slope),
+                 np.where(after, act / slope - moved, disp / slope))
+    return v, before != after
+
+
+def local_updates_oracle(trace: ForwardTrace, errs, gamma: float = 1.0):
+    """The local update as ``-(d x^T) / n * s`` with every scale applied;
+    ``rules._local_updates`` must match it byte for byte."""
+    top = trace.depth - 1
+    deltas = []
+    for l in range(trace.depth):
+        aux = trace.activations[l].shape[0] - errs[l].shape[0]
+        d = trace.gains[l] * np.pad(errs[l], ((0, aux), (0, 0)))
+        delta = -(d @ trace.layer_input(l).T) / trace.n_samples
+        delta *= gamma ** -(top - l)
+        deltas.append(delta)
+    return deltas
 
 
 def inverse_layer(layer: Layer, y: np.ndarray) -> np.ndarray:

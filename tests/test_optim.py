@@ -122,3 +122,13 @@ class TestAdamStep:
             AdamState(net, eta=0.0)
         with pytest.raises(ValueError):
             AdamState(net, beta1=1.0)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_non_finite_eta_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta must lie in"):
+            AdamState(make_net([4], 2, seed=8), eta=eta)
+
+    @pytest.mark.parametrize("eps", [-1.0, np.nan, 0.0, np.inf])
+    def test_eps_outside_open_half_line_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            AdamState(make_net([4], 2, seed=8), eps=eps)

@@ -421,6 +421,12 @@ class TestOrthoRegularizer:
             with pytest.raises(ValueError, match="lambda must be non-negative"):
                 fn(2.0 * np.eye(3), -1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    @pytest.mark.parametrize("fn", [ortho_penalty, ortho_reg_grad])
+    def test_non_finite_lambda_rejected(self, fn, lam):
+        with pytest.raises(ValueError, match="lambda must be non-negative and finite"):
+            fn(2.0 * np.eye(3), lam)
+
     @pytest.mark.parametrize("n", [1, 2, 5, 64, 256])
     def test_mask_bytes_match_multiplied_mask(self, n, rng):
         for w in (rng.standard_normal((n, n)), orthogonal_init(n, rng),
