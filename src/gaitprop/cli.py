@@ -82,8 +82,9 @@ def _parse_floats(text: str) -> list[float]:
 
 def _cmd_gridsearch(args) -> int:
     cfg = _resolve_config(args)
-    etas = _parse_floats(args.etas) if args.etas else list(DEFAULT_ETAS)
-    lambdas = _parse_floats(args.lambdas) if args.lambdas else list(DEFAULT_LAMBDAS)
+    etas = _parse_floats(args.etas) if args.etas is not None else list(DEFAULT_ETAS)
+    lambdas = (_parse_floats(args.lambdas) if args.lambdas is not None
+               else list(DEFAULT_LAMBDAS))
     result = gridsearch(cfg, etas, lambdas)
     table = os.path.join(args.out, f"grid_{cfg.rule}.csv")
     write_grid_csv(result, table)

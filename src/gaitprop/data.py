@@ -110,12 +110,16 @@ def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) 
 
 
 def one_hot_batch(labels: np.ndarray, classes: int) -> np.ndarray:
-    """Column-wise one-hot block, shape (classes, n_labels)."""
+    """Column-wise one-hot block, shape (classes, n_labels); a stack of label
+    rows (cells, n_labels) gives one block per cell."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and not (labels.min() >= 0 and labels.max() < classes):
         raise ValueError("labels out of range")
-    out = np.zeros((classes, labels.size))
-    out[labels, np.arange(labels.size)] = 1.0
+    out = np.zeros(labels.shape[:-1] + (classes, labels.shape[-1]))
+    index = (labels, np.arange(labels.shape[-1]))
+    if labels.ndim == 2:
+        index = (np.arange(len(labels))[:, None],) + index
+    out[index] = 1.0
     return out
 
 
@@ -167,16 +171,22 @@ def synthetic_teacher_quantized(n_in: int, depth: int, n_classes: int,
     return pixels, _teacher_labels(teacher, pixels.astype(np.float64) / 255.0, n_classes)
 
 
-def batches(ds: Dataset, batch_size: int, rng: np.random.Generator):
+def batches(ds: Dataset, batch_size: int,
+            rng: np.random.Generator | list[np.random.Generator]):
     """Yield (inputs, targets) column blocks covering the dataset once, in
     an order drawn from the rng, so deterministic under its seed.
 
     inputs has shape (n_features, b), targets is the one-hot block
-    (n_classes, b); the final partial batch is included.
+    (n_classes, b); the final partial batch is included. For a list of
+    rngs, one per cell, each block stacks every cell's own block on a
+    leading axis, with the same values and memory layout.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    order = rng.permutation(len(ds))
+    if isinstance(rng, list):
+        order = np.stack([r.permutation(len(ds)) for r in rng])
+    else:
+        order = rng.permutation(len(ds))
     for start in range(0, len(ds), batch_size):
-        idx = order[start:start + batch_size]
-        yield ds.inputs[idx].T, one_hot_batch(ds.labels[idx], ds.n_classes)
+        idx = order[..., start:start + batch_size]
+        yield ds.inputs[idx].mT, one_hot_batch(ds.labels[idx], ds.n_classes)

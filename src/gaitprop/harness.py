@@ -19,7 +19,7 @@ from . import __version__, files, linalg
 from .data import Dataset, batches, check_teacher, load_idx, one_hot_batch, synthetic_teacher
 from .diagnostics import AlignmentReport, align, ortho_drift
 from .dynamics import CircuitConfig, equilibria, simulate
-from .network import Activation, Network, build_network, check_widths, forward, \
+from .network import Activation, Layer, Network, build_network, check_widths, forward, \
     output, save_checkpoint
 from .optim import AdamState, adam_step
 from .rules import IncrementalConfig, bp_updates, gait_targets, gait_updates, \
@@ -38,6 +38,11 @@ BOLD_CELLS = {
 
 DEFAULT_ETAS = (1e-3, 1e-4, 1e-5)
 DEFAULT_LAMBDAS = (0.0, 0.1, 10.0, 1000.0)
+# Budget for the stacked weights of one lockstep group of sweep cells. The
+# 12 default cells of the 64-32-16-10 halving net (525 KB) share one group;
+# a 256x5 cell (2.6 MB) trains alone, since two of them in lockstep measured
+# 0.94x the speed and a fifth more peak memory.
+LOCKSTEP_BYTES = 1 << 20
 
 
 class ConfigError(Exception):
@@ -298,64 +303,151 @@ def evaluate(net: Network, ds: Dataset) -> tuple[float, float]:
     return hits / len(ds), loss_sum / len(ds)
 
 
-# The finiteness checks in the loop report divergence, not numpy warnings.
-@np.errstate(over="ignore", invalid="ignore")
 def train(cfg: ExperimentConfig,
           data: tuple[Dataset, Dataset] | None = None) -> RunRecord:
     """Full training run; deterministic under (config, seed).
 
     ``data`` is the (train, test) pair to use in place of loading the
-    config's own; a sweep loads it once and passes it to every cell.
+    config's own; a sweep loads it once and passes it to every cell. A run
+    is the lockstep training of a single cell, on plain 2-D weights.
     """
-    if cfg.save_checkpoint:
-        files.make_dir(os.path.dirname(cfg.save_checkpoint))
+    (outcome,) = _train_cells([cfg], data)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+# The finiteness checks in the loop report divergence, not numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
+def _train_cells(cfgs: list[ExperimentConfig],
+                 data: tuple[Dataset, Dataset] | None = None) -> list:
+    """Train cells that differ only in eta, lambda and seed in lockstep.
+
+    The cells form one network whose weights carry a leading cell axis, so
+    a step makes one numpy call per operation for all of them; one cell
+    alone keeps plain 2-D weights. Each cell keeps its own seed, init,
+    batch order, eta and lambda, and computes the bytes it computes alone.
+    Returns per cell its RunRecord, or the exception its own run raises; a
+    failed cell leaves the group and the others go on. Every record's
+    ``wall_clock_s`` is the group's wall time.
+    """
+    for cfg in cfgs:
+        if cfg.save_checkpoint:
+            files.make_dir(os.path.dirname(cfg.save_checkpoint))
     started = time.perf_counter()
-    train_ds, test_ds = _load_datasets(cfg) if data is None else data
-    net = build_from_config(cfg)
-    state = AdamState(net, eta=cfg.resolved_eta())
-    inc = IncrementalConfig(gamma=cfg.gamma)
-    lam = cfg.resolved_lam()
+    base = cfgs[0]
+    train_ds, test_ds = _load_datasets(base) if data is None else data
+    nets = [build_from_config(cfg) for cfg in cfgs]
+    net = nets[0] if len(nets) == 1 else Network([
+        Layer(np.stack([n.layers[i].weight for n in nets]), layer.activation,
+              layer.forward_width) for i, layer in enumerate(nets[0].layers)])
+    del nets  # a stack holds copies of the cells' weights
+    etas = [cfg.resolved_eta() for cfg in cfgs]
+    state = AdamState(net, eta=etas[0] if len(cfgs) == 1 else np.array(etas)[:, None, None])
+    inc = IncrementalConfig(gamma=base.gamma)
+    lams = [cfg.resolved_lam() for cfg in cfgs]
     # labeled derivation keeps the batch-order stream disjoint from the layer
     # init streams, which are spawned children of the bare seed
-    order_rng = linalg.make_rng(_derived_seed(cfg.seed, 1))
-    record = RunRecord(config=cfg.to_dict())
+    order_rngs = [linalg.make_rng(_derived_seed(cfg.seed, 1)) for cfg in cfgs]
+    outcomes: list = [RunRecord(config=cfg.to_dict()) for cfg in cfgs]
+    live = list(range(len(cfgs)))  # the cells still training, by position
 
-    for epoch in range(cfg.epochs):
-        for x, t in batches(train_ds, cfg.batch_size, order_rng):
-            trace = forward(net, x)
-            batch_loss = 0.5 * np.sum((trace.output() - t) ** 2) / x.shape[1]
-            if not np.isfinite(batch_loss):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, rule {cfg.rule}")
-            deltas = rule_updates(cfg.rule, net, trace, t, inc)
-            if lam > 0.0:
-                for i, layer in enumerate(net.layers):
-                    deltas[i] -= ortho_reg_grad(layer.weight, lam, cfg.reg_mode)
-            try:
-                adam_step(state, net, deltas)
-            except ValueError:  # the weight setter rejects non-finite entries
-                raise TrainingDiverged(
-                    f"non-finite weights at epoch {epoch}, rule {cfg.rule}") from None
-        train_acc, train_loss = evaluate(net, train_ds)
-        test_acc, test_loss = evaluate(net, test_ds)
-        if not np.isfinite(train_loss + test_loss):
-            raise TrainingDiverged(f"non-finite loss after epoch {epoch}, rule {cfg.rule}")
-        record.epochs.append({
-            "epoch": epoch,
-            "train_acc": train_acc,
-            "test_acc": test_acc,
-            "mean_loss": train_loss,
-            "ortho_errors": ortho_drift(net),
-        })
+    def regularized() -> list[tuple[float, object]]:
+        """Each distinct nonzero lambda with its live positions, ``...`` for
+        all: the regularizer keeps a scalar lambda, and a cell with lambda 0
+        skips it, so that no zero gradient turns a -0.0 update into +0.0."""
+        live_lams = np.array([lams[c] for c in live])
+        return [(lam, ... if (live_lams == lam).all() else np.flatnonzero(live_lams == lam))
+                for lam in dict.fromkeys(live_lams.tolist()) if lam > 0.0]
 
-    if record.epochs:
-        record.peak_train_acc = max(e["train_acc"] for e in record.epochs)
-        record.peak_test_acc = max(e["test_acc"] for e in record.epochs)
-        record.final_train_acc = record.epochs[-1]["train_acc"]
-        record.final_test_acc = record.epochs[-1]["test_acc"]
-    record.wall_clock_s = time.perf_counter() - started
-    if cfg.save_checkpoint:
-        save_checkpoint(net, cfg.save_checkpoint)
-    return record
+    def drop(failed: dict[int, Exception]) -> None:
+        """Record the failed positions' exceptions and train on without them."""
+        nonlocal live, net, reg
+        if not failed:
+            return
+        for p, exc in failed.items():
+            outcomes[live[p]] = exc
+        keep = [p for p in range(len(live)) if p not in failed]
+        live = [live[p] for p in keep]
+        if not live:
+            return
+        net = Network([Layer(layer.weight[keep], layer.activation, layer.forward_width)
+                       for layer in net.layers])
+        state.m = [m[keep] for m in state.m]
+        state.v = [v[keep] for v in state.v]
+        state.eta = state.eta[keep]
+        reg = regularized()
+
+    def cell_net(p: int) -> Network:
+        if net.layers[0].weight.ndim == 2:
+            return net
+        return Network([Layer(layer.weight[p], layer.activation, layer.forward_width)
+                        for layer in net.layers])
+
+    reg = regularized()
+    for epoch in range(base.epochs):
+        if not live:
+            break
+        rngs = order_rngs[0] if len(cfgs) == 1 else order_rngs
+        for x, t in batches(train_ds, base.batch_size, rngs):
+            while live:
+                # Rows of failed cells are drawn but not trained on. Nothing
+                # changes before Adam, so after a failure there the rest
+                # rerun the step.
+                xs, ts = (x, t) if len(live) == len(cfgs) else (x[live], t[live])
+                trace = forward(net, xs)
+                loss = 0.5 * np.sum((trace.output() - ts) ** 2, axis=(-2, -1)) / xs.shape[-1]
+                if not np.isfinite(loss).all():
+                    drop({p: TrainingDiverged(f"non-finite loss at epoch {epoch}, "
+                                              f"rule {base.rule}")
+                          for p in np.flatnonzero(~np.isfinite(loss))})
+                    continue
+                try:
+                    deltas = rule_updates(base.rule, net, trace, ts, inc)
+                except linalg.SingularMatrix as exc:
+                    drop({p: linalg.SingularMatrix(text)
+                          for p, text in exc.members.items()} or {0: exc})
+                    continue
+                for lam, sel in reg:
+                    for i, layer in enumerate(net.layers):
+                        deltas[i][sel] -= ortho_reg_grad(layer.weight[sel], lam, base.reg_mode)
+                # the others step as they would alone
+                drop({p: TrainingDiverged(f"non-finite weights at epoch {epoch}, "
+                                          f"rule {base.rule}")
+                      for p in adam_step(state, net, deltas)})
+                break
+            if not live:
+                break
+        failed = {}
+        for p, c in enumerate(live):
+            cell = cell_net(p)
+            train_acc, train_loss = evaluate(cell, train_ds)
+            test_acc, test_loss = evaluate(cell, test_ds)
+            if not np.isfinite(train_loss + test_loss):
+                failed[p] = TrainingDiverged(f"non-finite loss after epoch {epoch}, "
+                                             f"rule {base.rule}")
+                continue
+            outcomes[c].epochs.append({
+                "epoch": epoch,
+                "train_acc": train_acc,
+                "test_acc": test_acc,
+                "mean_loss": train_loss,
+                "ortho_errors": ortho_drift(cell),
+            })
+        drop(failed)
+
+    wall = time.perf_counter() - started
+    for p, c in enumerate(live):
+        record = outcomes[c]
+        if record.epochs:
+            record.peak_train_acc = max(e["train_acc"] for e in record.epochs)
+            record.peak_test_acc = max(e["test_acc"] for e in record.epochs)
+            record.final_train_acc = record.epochs[-1]["train_acc"]
+            record.final_test_acc = record.epochs[-1]["test_acc"]
+        record.wall_clock_s = wall
+        if cfgs[c].save_checkpoint:
+            save_checkpoint(cell_net(p), cfgs[c].save_checkpoint)
+    return outcomes
 
 
 def write_run_outputs(record: RunRecord, out_dir) -> None:
@@ -393,6 +485,11 @@ def gridsearch(base: ExperimentConfig, etas, lambdas) -> GridResult:
     and so is a checkpoint path, which every cell would overwrite. The cells
     differ only in eta, lambda and seed, so the dataset is loaded once and
     shared. A failing run is recorded and the sweep continues.
+
+    Cells train in lockstep groups (``_train_cells``) whose stacked weights
+    fit in ``LOCKSTEP_BYTES``, each cell byte-identical to its own ``train``;
+    a cell above that budget trains alone through ``train``. A lockstep
+    record's ``wall_clock_s`` is its group's wall time.
     """
     etas, lambdas = list(etas), list(lambdas)
     if not etas or not lambdas:
@@ -407,11 +504,22 @@ def gridsearch(base: ExperimentConfig, etas, lambdas) -> GridResult:
              for i, eta in enumerate(etas) for j, lam in enumerate(lambdas)}
     data = _load_datasets(base)
     result = GridResult(etas=etas, lambdas=lambdas)
-    for cell, cfg in cells.items():
-        try:
-            result.records[cell] = train(cfg, data)
-        except (TrainingDiverged, linalg.SingularMatrix) as exc:
-            result.failures[cell] = f"{type(exc).__name__}: {exc}"
+    keys = list(cells)
+    cell_bytes = 8 * sum(n * n for n in base.resolved_widths())
+    size = max(1, LOCKSTEP_BYTES // cell_bytes)
+    for group in (keys[i:i + size] for i in range(0, len(keys), size)):
+        if size == 1:  # a cell above the budget trains alone, as train runs it
+            try:
+                outcomes = [train(cells[group[0]], data)]
+            except (TrainingDiverged, linalg.SingularMatrix) as exc:
+                outcomes = [exc]
+        else:
+            outcomes = _train_cells([cells[cell] for cell in group], data)
+        for cell, out in zip(group, outcomes):
+            if isinstance(out, Exception):
+                result.failures[cell] = f"{type(out).__name__}: {out}"
+            else:
+                result.records[cell] = out
     return result
 
 

@@ -1,6 +1,7 @@
 """Dense float64 matrix kernels: inversion, initialization, orthogonality.
 
-Matrices are plain 2-D ``numpy.ndarray`` in float64. Every routine that
+Matrices are plain 2-D ``numpy.ndarray`` in float64; the weight routines
+also take a stack ``(cells, n, n)`` of them. Every routine that
 consumes randomness takes a ``numpy.random.Generator``; streams are built
 with the counter-based Philox engine so that per-layer child streams are
 independent of the order in which they are drawn.
@@ -15,7 +16,16 @@ SINGULAR_RCOND = 1e-12
 
 
 class SingularMatrix(Exception):
-    """Raised when a matrix cannot be inverted (rank-deficient weights)."""
+    """Raised when a matrix cannot be inverted (rank-deficient weights).
+
+    For a stack of matrices, ``members`` maps the index of each singular
+    matrix to the text that inverting it alone raises; it is empty for a
+    single matrix.
+    """
+
+    def __init__(self, message: str, members: dict[int, str] | None = None):
+        super().__init__(message)
+        self.members = members or {}
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -30,8 +40,9 @@ def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     return list(rng.spawn(n))
 
 
-def as_matrix(values) -> np.ndarray:
-    """Validate and return a float64 non-empty square matrix.
+def as_matrix(values, stack: bool = False) -> np.ndarray:
+    """Validate and return a float64 non-empty square matrix, or with
+    ``stack`` also a stack ``(cells, n, n)`` of them.
 
     Rejects non-finite entries and empty or non-square shapes so that bad
     values fail at construction instead of deep inside a product chain.
@@ -39,7 +50,8 @@ def as_matrix(values) -> np.ndarray:
     m = np.asarray(values, dtype=np.float64)
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    if (m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]
+            or 0 in m.shape):
         raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
     return m
 
@@ -52,22 +64,45 @@ def invert(m: np.ndarray) -> np.ndarray:
     ``1 / (|m|_1 |inv(m)|_1)`` is non-finite or below ``SINGULAR_RCOND``.
     One Newton-Schulz correction step is applied to tighten the residual
     ``max|m @ inv(m) - I|`` for ill-conditioned inputs.
+
+    A stack ``(cells, n, n)`` is inverted by the same calls on the stack,
+    which run LAPACK and BLAS once per matrix, so each inverse has the bytes
+    it has alone. If any matrix is singular, the SingularMatrix raised names
+    every singular one in ``members``.
     """
-    m = as_matrix(m)
+    m = as_matrix(m, stack=True)
     try:
         inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        raise SingularMatrix("exact zero pivot in the LU factorization") from None
+    except np.linalg.LinAlgError:  # for a stack, any one zero pivot fails it all
+        if m.ndim == 2:
+            raise SingularMatrix("exact zero pivot in the LU factorization") from None
+        raise _singular_members(m) from None
     # the 1-norms are column sums' maxima, as np.linalg.norm(., 1) computes them
     with np.errstate(all="ignore"):  # an overflow here is reported as rcond 0
-        rcond = 1.0 / (np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
-    if not np.isfinite(rcond) or rcond < SINGULAR_RCOND:
+        rcond = 1.0 / (np.abs(m).sum(axis=-2).max(axis=-1)
+                       * np.abs(inv).sum(axis=-2).max(axis=-1))
+    if m.ndim == 3:
+        if not (np.isfinite(rcond) & (rcond >= SINGULAR_RCOND)).all():
+            raise _singular_members(m)
+    elif not np.isfinite(rcond) or rcond < SINGULAR_RCOND:
         raise SingularMatrix(
             f"reciprocal condition number {rcond:.3e} below {SINGULAR_RCOND:.0e}"
         )
-    eye = np.eye(m.shape[0])
+    eye = np.eye(m.shape[-1])
     inv = inv + inv @ (eye - m @ inv)
     return inv
+
+
+def _singular_members(stack: np.ndarray) -> SingularMatrix:
+    """The error for a stack, naming each member that fails alone."""
+    members = {}
+    for i, m in enumerate(stack):
+        try:
+            invert(m)
+        except SingularMatrix as exc:
+            members[i] = str(exc)
+    return SingularMatrix(f"{len(members)} of {len(stack)} stacked matrices are singular",
+                          members)
 
 
 def orthogonal_init(n: int, rng: np.random.Generator) -> np.ndarray:

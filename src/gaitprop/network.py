@@ -9,6 +9,12 @@ width shrinks. Width chaining is therefore
 
 Vectors are handled batched: arrays of shape ``(width, n_samples)`` whose
 columns are samples. 1-D inputs are promoted to a single column.
+
+A network can also hold several cells of one shape in lockstep: each weight
+is then a stack ``(cells, n, n)`` and each batch ``(cells, width,
+n_samples)``. Every operation treats the last two axes as the matrix, and
+numpy runs BLAS once per matrix of a stack, so each cell computes the bytes
+it computes alone.
 """
 
 from __future__ import annotations
@@ -64,10 +70,10 @@ class Layer:
     """
 
     def __init__(self, weight: np.ndarray, activation: Activation, forward_width: int):
-        weight = linalg.as_matrix(weight)
-        if not 1 <= forward_width <= weight.shape[0]:
+        weight = linalg.as_matrix(weight, stack=True)
+        if not 1 <= forward_width <= weight.shape[-1]:
             raise ValueError(
-                f"forward_width {forward_width} out of range for width {weight.shape[0]}"
+                f"forward_width {forward_width} out of range for width {weight.shape[-1]}"
             )
         self._weight = weight
         self._weight_inv: np.ndarray | None = None
@@ -80,7 +86,7 @@ class Layer:
 
     @weight.setter
     def weight(self, value: np.ndarray):
-        self._weight = linalg.as_matrix(value)
+        self._weight = linalg.as_matrix(value, stack=True)
         self._weight_inv = None
 
     @property
@@ -91,7 +97,7 @@ class Layer:
 
     @property
     def total_width(self) -> int:
-        return self._weight.shape[0]
+        return self._weight.shape[-1]
 
     @property
     def aux_width(self) -> int:
@@ -134,8 +140,9 @@ class ForwardTrace:
     """Everything one pass records, batched column-wise.
 
     ``activations[l]`` and ``gains[l]`` both have shape
-    ``(total_width_l, n_samples)``; ``gains`` holds the activation
-    derivative evaluated at the pre-activations.
+    ``(total_width_l, n_samples)``, with a leading cell axis in lockstep;
+    ``gains`` holds the activation derivative evaluated at the
+    pre-activations.
     """
 
     inputs: np.ndarray
@@ -145,7 +152,7 @@ class ForwardTrace:
 
     @property
     def n_samples(self) -> int:
-        return self.inputs.shape[1]
+        return self.inputs.shape[-1]
 
     @property
     def depth(self) -> int:
@@ -153,10 +160,10 @@ class ForwardTrace:
 
     def forward_part(self, l: int) -> np.ndarray:
         """Activations of layer l that project onward (or are class outputs)."""
-        return self.activations[l][: self.forward_widths[l]]
+        return self.activations[l][..., : self.forward_widths[l], :]
 
     def aux_part(self, l: int) -> np.ndarray:
-        return self.activations[l][self.forward_widths[l]:]
+        return self.activations[l][..., self.forward_widths[l]:, :]
 
     def layer_input(self, l: int) -> np.ndarray:
         """What layer l multiplied by its weight: the input, or the previous
@@ -173,7 +180,7 @@ def _as_columns(x: np.ndarray, width: int, label: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2 or x.shape[0] != width:
+    if x.ndim not in (2, 3) or x.shape[-2] != width:
         raise ValueError(f"{label}: expected {width} rows, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"{label}: entries must be finite")
@@ -194,7 +201,7 @@ def forward(net: Network, x: np.ndarray) -> ForwardTrace:
         a = layer.activation.forward(h)
         trace.activations.append(a)
         trace.gains.append(layer.activation.deriv(h))
-        cur = a[: layer.forward_width]
+        cur = a[..., : layer.forward_width, :]
     return trace
 
 
@@ -209,7 +216,7 @@ def output(net: Network, x: np.ndarray) -> np.ndarray:
     """
     cur = _as_columns(x, net.input_width, "input")
     for layer in net.layers:
-        cur = layer.activation.forward((layer.weight @ cur)[: layer.forward_width])
+        cur = layer.activation.forward((layer.weight @ cur)[..., : layer.forward_width, :])
     return cur
 
 

@@ -2,7 +2,8 @@
 
 Updates already point in the descent direction, so the optimizer treats
 their negation as the gradient. Moments live per layer, matching weight
-shapes exactly, and are updated in place.
+shapes exactly, and are updated in place. A network of stacked cells steps
+every cell at once, each with its own learning rate.
 """
 
 from __future__ import annotations
@@ -13,11 +14,14 @@ from .network import Network
 
 
 class AdamState:
-    """First/second moment buffers and the shared step counter."""
+    """First/second moment buffers and the shared step counter.
 
-    def __init__(self, net: Network, eta: float = 1e-4, beta1: float = 0.9,
+    ``eta`` is a float, or for stacked cells an array ``(cells, 1, 1)``.
+    """
+
+    def __init__(self, net: Network, eta: float | np.ndarray = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.99, eps: float = 1e-8):
-        if not 0.0 < eta < np.inf:
+        if not ((0.0 < np.asarray(eta)) & (np.asarray(eta) < np.inf)).all():
             raise ValueError(f"eta must lie in (0, inf), got {eta}")
         if not 0.0 < eps < np.inf:
             raise ValueError(f"eps must lie in (0, inf), got {eps}")
@@ -32,15 +36,18 @@ class AdamState:
         self.v = [np.zeros_like(layer.weight) for layer in net.layers]
 
 
-def adam_step(state: AdamState, net: Network, deltas: list[np.ndarray]
-              ) -> tuple[AdamState, Network]:
+def adam_step(state: AdamState, net: Network, deltas: list[np.ndarray]) -> list[int]:
     """One bias-corrected Adam step, applied to the network in place.
 
-    Mutates ``state`` and ``net`` under the caller's exclusive access and
-    returns them for chaining.
+    Mutates ``state`` and ``net`` under the caller's exclusive access.
+    Returns the positions of the cells that got a non-finite weight (``[0]``
+    for a network without a cell axis). Such a cell keeps its old weight in
+    that layer and must not step again; every other cell steps as it would
+    alone.
     """
     if len(deltas) != net.depth:
         raise ValueError(f"update has {len(deltas)} layers, network has {net.depth}")
+    failed: set[int] = set()
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
@@ -64,5 +71,12 @@ def adam_step(state: AdamState, net: Network, deltas: list[np.ndarray]
         step = m / bc1
         step *= state.eta
         step /= buf
-        layer.weight = np.subtract(layer.weight, step, out=step)
-    return state, net
+        np.subtract(layer.weight, step, out=step)
+        try:
+            layer.weight = step
+        except ValueError:  # the weight setter rejects non-finite entries
+            bad = ~np.isfinite(step).all(axis=(-2, -1))
+            step[bad] = layer.weight[bad]
+            layer.weight = step
+            failed.update(np.flatnonzero(bad).tolist())
+    return sorted(failed)

@@ -21,6 +21,9 @@ gamma=1e-3, depth-4 network is of order gamma^3 = 1e-9 relative to the
 activations, so forming absolute targets first and subtracting would lose
 half the mantissa to cancellation. The gap recursion keeps every
 intermediate at the scale of the gap itself.
+
+Every array may carry a leading cell axis (see :mod:`gaitprop.network`):
+products and slices act on the last two axes.
 """
 
 from __future__ import annotations
@@ -70,10 +73,10 @@ class TargetStack:
 
 def _pad_rows(x: np.ndarray, total: int) -> np.ndarray:
     """Extend a forward-coordinate block with zero rows for auxiliary units."""
-    if x.shape[0] == total:
+    if x.shape[-2] == total:
         return x
-    out = np.zeros((total, x.shape[1]))
-    out[: x.shape[0]] = x
+    out = np.zeros(x.shape[:-2] + (total, x.shape[-1]))
+    out[..., : x.shape[-2], :] = x
     return out
 
 
@@ -81,8 +84,8 @@ def _backward(trace: ForwardTrace, t_out: np.ndarray, propagate) -> list[np.ndar
     """The one backward recursion: ``e_{l-1} = propagate(l, e_l)`` from
     ``output - target``; each ``e_l`` lives on layer l's forward units."""
     t = _as_columns(t_out, trace.forward_widths[-1], "output target")
-    if t.shape[1] != trace.n_samples:
-        raise ValueError(f"target batch {t.shape[1]} != trace batch {trace.n_samples}")
+    if t.shape[-1] != trace.n_samples:
+        raise ValueError(f"target batch {t.shape[-1]} != trace batch {trace.n_samples}")
     errs: list[np.ndarray] = [np.empty(0)] * trace.depth
     errs[-1] = trace.output() - t
     for l in range(trace.depth - 1, 0, -1):
@@ -91,20 +94,26 @@ def _backward(trace: ForwardTrace, t_out: np.ndarray, propagate) -> list[np.ndar
 
 
 def _local_updates(
-    trace: ForwardTrace, errs: list[np.ndarray], gamma: float = 1.0
+    trace: ForwardTrace, errs: list[np.ndarray], gamma: float = 1.0,
+    gained: dict[int, np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """The one local update, with ``s_l = gamma^-(top - l)``, one delta per
     layer; batched traces yield the mean of the per-sample updates.
 
-    The sign rides on the divisor, since ``(-a) / n == a / (-n)`` in IEEE
-    arithmetic, and a scale of exactly 1 (bp, tp and every top layer) is
-    not applied, so the update takes one pass after the product."""
+    ``gained[l]``, where the propagation already formed it, is the gained
+    error ``g_l * pad(e_l)`` of layer l. The sign rides on the divisor,
+    since ``(-a) / n == a / (-n)`` in IEEE arithmetic, and a scale of
+    exactly 1 (bp, tp and every top layer) is not applied, so the update
+    takes one pass after the product."""
     n = trace.n_samples
     top = trace.depth - 1
     deltas = []
     for l in range(trace.depth):
-        d = trace.gains[l] * _pad_rows(errs[l], trace.activations[l].shape[0])
-        delta = d @ trace.layer_input(l).T
+        if gained and l in gained:
+            d = gained[l]
+        else:
+            d = trace.gains[l] * _pad_rows(errs[l], trace.activations[l].shape[-2])
+        delta = d @ trace.layer_input(l).mT
         np.divide(delta, -n, out=delta)
         scale = gamma ** -(top - l)
         if scale != 1.0:
@@ -120,11 +129,13 @@ def bp_updates(net: Network, trace: ForwardTrace, t_out: np.ndarray) -> list[np.
     units receive no error; at every layer the backward product is
     restricted to the forward sub-block, mirroring the forward pass.
     """
-    def propagate(l: int, err: np.ndarray) -> np.ndarray:
-        d = trace.gains[l] * _pad_rows(err, net.layers[l].total_width)
-        return net.layers[l].weight.T @ d
+    gained = {}
 
-    return _local_updates(trace, _backward(trace, t_out, propagate))
+    def propagate(l: int, err: np.ndarray) -> np.ndarray:
+        d = gained[l] = trace.gains[l] * _pad_rows(err, net.layers[l].total_width)
+        return net.layers[l].weight.mT @ d
+
+    return _local_updates(trace, _backward(trace, t_out, propagate), 1.0, gained)
 
 
 def _inverse_displacement(act: np.ndarray, disp: np.ndarray, slope: float):
@@ -155,7 +166,7 @@ def _target_stack(
     """Gap recursion of the target rules: layer l's activation moves
     ``blend(l) * gap`` toward its target (auxiliary units stay put) and the
     exact pre-image of that displacement is the next gap."""
-    flips = np.zeros(trace.n_samples, dtype=np.int64)
+    flips = np.zeros(trace.inputs.shape[:-2] + (trace.n_samples,), dtype=np.int64)
 
     def propagate(l: int, gap: np.ndarray) -> np.ndarray:
         layer = net.layers[l]
@@ -166,7 +177,7 @@ def _target_stack(
             v, crossed = _inverse_displacement(
                 trace.activations[l], disp, layer.activation.slope
             )
-            flips[:] += crossed.sum(axis=0)
+            flips[:] += crossed.sum(axis=-2)
         return layer.weight_inv @ v
 
     gaps = _backward(trace, t_out, propagate)
@@ -193,7 +204,7 @@ def gait_targets(
     """Gradient-adjusted incremental targets: the blend fraction is
     gamma times the squared activation gain, per unit; it must stay below 1."""
     def blend(l: int) -> np.ndarray:
-        b = cfg.gamma * trace.gains[l][: trace.forward_widths[l]] ** 2
+        b = cfg.gamma * trace.gains[l][..., : trace.forward_widths[l], :] ** 2
         if b.max(initial=0.0) >= 1.0:
             raise ValueError(
                 f"gamma {cfg.gamma} too large for layer {l} gains (blend {b.max():.3g} >= 1)"
@@ -260,19 +271,21 @@ def ortho_penalty(w: np.ndarray, lam: float, mode: str = "mask") -> float:
 
 
 def ortho_reg_grad(w: np.ndarray, lam: float, mode: str = "mask") -> np.ndarray:
-    """Gradient of ortho_penalty with respect to W (same mode semantics)."""
-    w = linalg.as_matrix(w)
+    """Gradient of ortho_penalty with respect to W (same mode semantics),
+    for one matrix or each of a stack ``(cells, n, n)``."""
+    w = linalg.as_matrix(w, stack=True)
     _check_lambda(lam)
     if lam == 0.0:
         return np.zeros_like(w)
-    gram = w @ w.T
+    n = w.shape[-1]
+    gram = w @ w.mT
     if mode == "mask":
-        np.fill_diagonal(gram, 0.0)  # as in ortho_penalty
+        gram.reshape(-1, n * n)[:, :: n + 1] = 0.0  # each diagonal, as in ortho_penalty
         grad = gram @ w
         grad *= 4.0 * lam
         return grad
     if mode == "product":
-        k = 1.0 - np.eye(w.shape[0])
+        k = 1.0 - np.eye(n)
         k2 = k @ k
         x = gram @ k2 + k2 @ gram
         grad = x @ w

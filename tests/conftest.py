@@ -93,9 +93,10 @@ def inverse_displacement_oracle(act: np.ndarray, disp: np.ndarray, slope: float)
     return v, before != after
 
 
-def local_updates_oracle(trace: ForwardTrace, errs, gamma: float = 1.0):
+def local_updates_oracle(trace: ForwardTrace, errs, gamma: float = 1.0, gained=None):
     """The local update as ``-(d x^T) / n * s`` with every scale applied;
-    ``rules._local_updates`` must match it byte for byte."""
+    ``rules._local_updates`` must match it byte for byte. The gained errors
+    a rule hands over are ignored: the oracle forms each one itself."""
     top = trace.depth - 1
     deltas = []
     for l in range(trace.depth):

@@ -245,6 +245,11 @@ def test_inspect_bad_stored_value(case, tmp_path, capsys):
     # every cell would overwrite the one checkpoint
     ["gridsearch", "--set", "save_checkpoint=out/net.bin", "--set", "width=16",
      "--set", "classes=4", "--set", "epochs=0"],
+    # an empty sweep list is a mistake, not a request for the default list
+    ["gridsearch", "--etas", "", "--set", "width=16", "--set", "classes=4", "--set",
+     "epochs=0"],
+    ["gridsearch", "--etas", "1e-3", "--lambdas", "", "--set", "width=16", "--set",
+     "classes=4", "--set", "epochs=0"],
 ])
 def test_config_mistakes_exit_2(argv, tmp_path, capsys):
     # An exception escaping main() fails this test, as a traceback on

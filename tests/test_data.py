@@ -183,6 +183,18 @@ class TestBatches:
         sizes = [x.shape[1] for x, _ in batches(ds, 4, make_rng(7))]
         assert sizes == [4, 4, 2]
 
+    def test_cells_stack_their_own_blocks(self):
+        ds = self.make_ds(10)
+        stacked = list(batches(ds, 4, [make_rng(s) for s in (7, 8, 9)]))
+        own = [list(batches(ds, 4, make_rng(s))) for s in (7, 8, 9)]
+        assert [x.shape for x, _ in stacked] == [(3, 4, 4), (3, 4, 4), (3, 4, 2)]
+        for k, (x, t) in enumerate(stacked):
+            for c in range(3):
+                x_own, t_own = own[c][k]
+                assert x[c].strides == x_own.strides  # the layout BLAS sees
+                assert x[c].tobytes() == x_own.tobytes()
+                assert np.array_equal(t[c], t_own)
+
     def test_mismatched_dataset_rejected(self):
         with pytest.raises(CountMismatch):
             Dataset(inputs=np.zeros((3, 2)), labels=np.zeros(2, np.int64),

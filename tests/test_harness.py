@@ -10,6 +10,7 @@ from gaitprop import Activation, IncrementalConfig, forward, harness, make_rng
 from gaitprop.data import (Dataset, load_idx, synthetic_teacher, synthetic_teacher_quantized,
                            write_idx)
 from gaitprop.dynamics import equilibria, simulate
+from gaitprop.linalg import SingularMatrix
 from gaitprop.harness import (
     ConfigError,
     ExperimentConfig,
@@ -257,6 +258,124 @@ class TestGridsearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             gridsearch(TINY, etas=[], lambdas=[0.1])
+
+
+def fields_but_wall(rec) -> dict:
+    out = asdict(rec)
+    del out["wall_clock_s"]
+    return out
+
+
+def standalone(base, etas, lambdas, eta, lam):
+    """What the sweep's cell (eta, lam) gives when it trains alone: its
+    record without the wall time, or its failure text."""
+    cfg = replace(base, eta=eta, lam=lam,
+                  seed=_derived_seed(base.seed, etas.index(eta), lambdas.index(lam)))
+    try:
+        return fields_but_wall(train(cfg))
+    except (TrainingDiverged, SingularMatrix) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def sweep(base, etas, lambdas) -> dict:
+    """Each cell of a gridsearch: its record without the wall time, or its
+    failure text."""
+    result = gridsearch(base, etas, lambdas)
+    return {**{cell: fields_but_wall(rec) for cell, rec in result.records.items()},
+            **result.failures}
+
+
+HALVING = replace(TINY, arch="halving", width=32, depth=3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLockstep:
+    @pytest.fixture
+    def groups(self, monkeypatch):
+        """The cell count of every call of the lockstep group loop."""
+        sizes = []
+        real = harness._train_cells
+
+        def spy(cfgs, data=None):
+            sizes.append(len(cfgs))
+            return real(cfgs, data)
+
+        monkeypatch.setattr(harness, "_train_cells", spy)
+        return sizes
+
+    @pytest.mark.parametrize("rule", harness.RULES)
+    def test_cells_equal_their_own_train(self, rule, groups):
+        base = replace(HALVING, rule=rule)
+        etas, lambdas = [1e-3, 1e-4], [0.0, 0.1]
+        got = sweep(base, etas, lambdas)
+        assert groups == [4]
+        for (eta, lam), cell in got.items():
+            assert cell == standalone(base, etas, lambdas, eta, lam)
+
+    @pytest.mark.parametrize("samples", [16, 120])  # one batch an epoch, or several
+    def test_failed_cells_leave_and_the_rest_go_on(self, samples, groups):
+        base = replace(HALVING, rule="gait", train_samples=samples)
+        etas, lambdas = [1e150, 1e-3, 1e-4], [0.0, 0.1, 1e308]
+        got = sweep(base, etas, lambdas)
+        assert groups == [9]
+        for (eta, lam), cell in got.items():
+            assert cell == standalone(base, etas, lambdas, eta, lam)
+        failures = [cell for cell in got.values() if isinstance(cell, str)]
+        assert len(failures) == 5
+        assert any("non-finite loss" in f for f in failures)     # eta = 1e150
+        assert any("non-finite weights" in f for f in failures)  # lam = 1e308
+
+    def test_singular_cell_fails_with_its_own_text(self, groups, monkeypatch):
+        base = replace(HALVING, rule="gait")
+        etas, lambdas = [1e-3, 1e-4], [0.0, 0.1]
+        pivot, rcond = _derived_seed(base.seed, 0, 1), _derived_seed(base.seed, 1, 0)
+        build = harness.build_from_config
+
+        def broken(cfg):
+            net = build(cfg)
+            if cfg.seed == pivot:  # two equal rows: an exact zero pivot
+                w = net.layers[1].weight.copy()
+                w[1] = w[0]
+                net.layers[1].weight = w
+            if cfg.seed == rcond:  # the top layer, inverted first, is nearly singular
+                w = net.layers[2].weight.copy()
+                w[0] *= 1e-300
+                net.layers[2].weight = w
+            return net
+
+        monkeypatch.setattr(harness, "build_from_config", broken)
+        got = sweep(base, etas, lambdas)
+        assert groups == [4]
+        assert got[(1e-3, 0.1)].startswith("SingularMatrix: exact zero pivot")
+        assert got[(1e-4, 0.0)].startswith("SingularMatrix: reciprocal condition number")
+        for (eta, lam), cell in got.items():
+            assert cell == standalone(base, etas, lambdas, eta, lam)
+
+    @pytest.mark.parametrize("budget,sizes", [(2.5, [2, 2, 2]), (0.9, [1] * 6)])
+    def test_groups_fill_the_budget(self, budget, sizes, groups, monkeypatch):
+        trained = []
+        real = harness.train
+
+        def spy(cfg, data=None):
+            trained.append(cfg)
+            return real(cfg, data)
+
+        monkeypatch.setattr(harness, "train", spy)
+        cell_bytes = 8 * 3 * 16 * 16
+        monkeypatch.setattr(harness, "LOCKSTEP_BYTES", int(budget * cell_bytes))
+        gridsearch(replace(TINY, epochs=1), etas=[1e-3, 1e-4], lambdas=[0.0, 0.1, 10.0])
+        assert groups == sizes
+        assert len(trained) == (6 if sizes[0] == 1 else 0)  # a cell alone runs as train
+
+    @pytest.mark.parametrize("width,depth,etas,lambdas,sizes", [
+        (64, 4, harness.DEFAULT_ETAS, harness.DEFAULT_LAMBDAS, [12]),  # 525 KB
+        (256, 5, [1e-4], [0.0, 0.1], [1, 1]),                          # 2.6 MB a cell
+    ])
+    def test_default_budget(self, width, depth, etas, lambdas, sizes, groups):
+        base = replace(TINY, arch="halving" if width == 64 else "fixed", width=width,
+                       depth=depth, classes=10, epochs=0)
+        gridsearch(base, etas, lambdas)
+        assert groups == sizes
 
 
 def test_evaluation_and_teacher_labels_compute_no_gains(monkeypatch):

@@ -1,7 +1,8 @@
 """The branch-free leaky-ReLU kernels and the one-pass local update must give
 the bytes of the select-based forms they replace, on every float64 class:
 random magnitudes from 1e-320 to 1e300, ±0, ±subnormals, the extremes of
-the normal range and ±inf."""
+the normal range and ±inf. Stacked numpy calls, on which lockstep sweep
+cells rest, must give each matrix the bytes of its own 2-D call."""
 
 from dataclasses import replace
 
@@ -107,3 +108,46 @@ def test_training_bytes_match_select_kernels(rule, tmp_path, monkeypatch):
     assert new == old
     unused = {"_inverse_displacement", "ortho_reg_grad"} if rule == "bp" else set()
     assert all((n > 0) != (name in unused) for name, n in calls.items()), calls
+
+
+def alone(a: np.ndarray) -> np.ndarray:
+    """A fresh copy with the same memory order, as a standalone run holds it."""
+    return np.array(a, order="K")
+
+
+def self_gram(w: np.ndarray) -> np.ndarray:
+    """``w @ w.T`` on one buffer, as the regularizer forms it: numpy may then
+    take a symmetric product, which rounds unlike a general one."""
+    return w @ w.T
+
+
+@pytest.mark.parametrize("n,batch,cells", [(64, 64, 12), (32, 64, 12), (16, 64, 12),
+                                           (10, 64, 12), (64, 1, 3), (16, 7, 5),
+                                           (256, 64, 2)])
+def test_stacked_calls_match_per_matrix_calls(n, batch, cells, rng):
+    # The widths of the 64-32-16-10 halving net and of a 256-wide net, at the
+    # training batch, a single sample and a partial last batch. If a numpy or
+    # BLAS upgrade breaks this, lockstep sweep cells stop equalling train.
+    k = max(n // 2, 1)
+    w = rng.standard_normal((cells, n, n))
+    v = rng.standard_normal((cells, k, k))
+    x = rng.standard_normal((cells, batch, n)).mT  # each block F-ordered, as batches yield it
+    d = rng.standard_normal((cells, n, batch))
+    inputs = rng.standard_normal((batch, n))
+    gram = w @ w.mT
+    gram.reshape(cells, -1)[:, :: n + 1] = 0.0
+    stacked = {
+        "W @ x": (w @ x, lambda c: alone(w[c]) @ alone(x[c])),
+        "W.T @ d": (w.mT @ d, lambda c: alone(w[c]).T @ alone(d[c])),
+        "d @ x.T": (d @ x.mT, lambda c: alone(d[c]) @ alone(x[c]).T),
+        "w @ w.T": (w @ w.mT, lambda c: self_gram(alone(w[c]))),
+        "gram @ w": (gram @ w, lambda c: alone(gram[c]) @ alone(w[c])),
+        "W @ inputs.T": (w @ inputs.T, lambda c: alone(w[c]) @ inputs.T),
+        "V @ d[:k]": (v @ d[:, :k, :], lambda c: alone(v[c]) @ alone(d[c])[:k]),
+        "inv": (np.linalg.inv(w), lambda c: np.linalg.inv(alone(w[c]))),
+        "sum": (np.sum(d * d, axis=(-2, -1)), lambda c: np.sum(alone(d[c]) * alone(d[c]))),
+        "column sums": (np.abs(w).sum(axis=-2), lambda c: np.abs(alone(w[c])).sum(axis=0)),
+    }
+    for name, (got, one) in stacked.items():
+        for c in range(cells):
+            assert got[c].tobytes() == np.asarray(one(c)).tobytes(), (name, c)

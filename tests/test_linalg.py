@@ -87,6 +87,31 @@ class TestInvert:
                            match=re.escape(f"reciprocal condition number {rcond} below 1e-12")):
             invert(np.diag(diag))
 
+    @pytest.mark.parametrize("n", [10, 64, 256])
+    def test_stack_gives_each_matrix_its_own_bytes(self, n):
+        r = make_rng(n)
+        stack = np.stack([controlled_matrix(n, r) for _ in range(3)])
+        inv = invert(stack)
+        assert inv.shape == stack.shape
+        for member, got in zip(stack, inv):
+            assert got.tobytes() == invert(member.copy()).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [
+        np.ones((4, 4)),                  # an exact zero pivot fails numpy's whole stack
+        np.diag([1.0, 1.0, 1.0, 1e-300]),  # a condition number past the floor
+    ])
+    def test_stack_names_its_singular_members(self, bad):
+        r = make_rng(3)
+        stack = np.stack([controlled_matrix(4, r), bad, controlled_matrix(4, r), bad])
+        with pytest.raises(SingularMatrix) as caught:
+            invert(stack)
+        with pytest.raises(SingularMatrix) as alone:
+            invert(bad)
+        assert str(caught.value) == "2 of 4 stacked matrices are singular"
+        assert caught.value.members == {1: str(alone.value), 3: str(alone.value)}
+        assert alone.value.members == {}
+
     def test_double_inverse_round_trip(self):
         r = make_rng(5)
         for _ in range(5):
