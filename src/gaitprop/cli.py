@@ -3,7 +3,7 @@
 Subcommands: train, gridsearch, align, equilibrium, datagen,
 checkpoint-inspect. Exit code 0 on success; 2 for configuration problems;
 1 for runtime failures (singular weights, divergence, bad or unwritable
-files), always with a typed one-line error on stderr.
+files, memory exhausted), always with a typed one-line error on stderr.
 """
 
 from __future__ import annotations
@@ -239,6 +239,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an input sized past this machine's memory
+        print(f"error[memory]: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

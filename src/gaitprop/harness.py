@@ -311,31 +311,26 @@ def train(cfg: ExperimentConfig,
     config's own; a sweep loads it once and passes it to every cell. A run
     is the lockstep training of a single cell, on plain 2-D weights.
     """
-    (outcome,) = _train_cells([cfg], data)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return _train_cells([cfg], data)[0]
 
 
 # The finiteness checks in the loop report divergence, not numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def _train_cells(cfgs: list[ExperimentConfig],
-                 data: tuple[Dataset, Dataset] | None = None) -> list:
+                 data: tuple[Dataset, Dataset] | None = None) -> list[RunRecord]:
     """Train cells that differ only in eta, lambda and seed in lockstep.
 
     The cells form one network whose weights carry a leading cell axis, so
     a step makes one numpy call per operation for all of them; one cell
     alone keeps plain 2-D weights. Each cell keeps its own seed, init,
     batch order, eta and lambda, and computes the bytes it computes alone.
-    Returns per cell its RunRecord, or the exception its own run raises; a
-    failed cell leaves the group and the others go on. Every record's
-    ``wall_clock_s`` is the group's wall time.
+    The group raises at the first failure of any cell, as a single run
+    does. Every record's ``wall_clock_s`` is the group's wall time.
     """
-    for cfg in cfgs:
-        if cfg.save_checkpoint:
-            files.make_dir(os.path.dirname(cfg.save_checkpoint))
-    started = time.perf_counter()
     base = cfgs[0]
+    if base.save_checkpoint:  # a run of one cell: gridsearch rejects checkpoints
+        files.make_dir(os.path.dirname(base.save_checkpoint))
+    started = time.perf_counter()
     train_ds, test_ds = _load_datasets(base) if data is None else data
     nets = [build_from_config(cfg) for cfg in cfgs]
     net = nets[0] if len(nets) == 1 else Network([
@@ -345,109 +340,61 @@ def _train_cells(cfgs: list[ExperimentConfig],
     etas = [cfg.resolved_eta() for cfg in cfgs]
     state = AdamState(net, eta=etas[0] if len(cfgs) == 1 else np.array(etas)[:, None, None])
     inc = IncrementalConfig(gamma=base.gamma)
-    lams = [cfg.resolved_lam() for cfg in cfgs]
+    # Each distinct nonzero lambda with its cells, ``...`` for all: the
+    # regularizer keeps a scalar lambda, and a cell with lambda 0 skips it, so
+    # that no zero gradient turns a -0.0 update into +0.0.
+    lams = np.array([cfg.resolved_lam() for cfg in cfgs])
+    reg = [(lam, ... if (lams == lam).all() else np.flatnonzero(lams == lam))
+           for lam in dict.fromkeys(lams.tolist()) if lam > 0.0]
     # labeled derivation keeps the batch-order stream disjoint from the layer
     # init streams, which are spawned children of the bare seed
     order_rngs = [linalg.make_rng(_derived_seed(cfg.seed, 1)) for cfg in cfgs]
-    outcomes: list = [RunRecord(config=cfg.to_dict()) for cfg in cfgs]
-    live = list(range(len(cfgs)))  # the cells still training, by position
+    rngs = order_rngs[0] if len(cfgs) == 1 else order_rngs
+    records = [RunRecord(config=cfg.to_dict()) for cfg in cfgs]
 
-    def regularized() -> list[tuple[float, object]]:
-        """Each distinct nonzero lambda with its live positions, ``...`` for
-        all: the regularizer keeps a scalar lambda, and a cell with lambda 0
-        skips it, so that no zero gradient turns a -0.0 update into +0.0."""
-        live_lams = np.array([lams[c] for c in live])
-        return [(lam, ... if (live_lams == lam).all() else np.flatnonzero(live_lams == lam))
-                for lam in dict.fromkeys(live_lams.tolist()) if lam > 0.0]
-
-    def drop(failed: dict[int, Exception]) -> None:
-        """Record the failed positions' exceptions and train on without them."""
-        nonlocal live, net, reg
-        if not failed:
-            return
-        for p, exc in failed.items():
-            outcomes[live[p]] = exc
-        keep = [p for p in range(len(live)) if p not in failed]
-        live = [live[p] for p in keep]
-        if not live:
-            return
-        net = Network([Layer(layer.weight[keep], layer.activation, layer.forward_width)
-                       for layer in net.layers])
-        state.m = [m[keep] for m in state.m]
-        state.v = [v[keep] for v in state.v]
-        state.eta = state.eta[keep]
-        reg = regularized()
-
-    def cell_net(p: int) -> Network:
-        if net.layers[0].weight.ndim == 2:
-            return net
-        return Network([Layer(layer.weight[p], layer.activation, layer.forward_width)
-                        for layer in net.layers])
-
-    reg = regularized()
     for epoch in range(base.epochs):
-        if not live:
-            break
-        rngs = order_rngs[0] if len(cfgs) == 1 else order_rngs
         for x, t in batches(train_ds, base.batch_size, rngs):
-            while live:
-                # Rows of failed cells are drawn but not trained on. Nothing
-                # changes before Adam, so after a failure there the rest
-                # rerun the step.
-                xs, ts = (x, t) if len(live) == len(cfgs) else (x[live], t[live])
-                trace = forward(net, xs)
-                loss = 0.5 * np.sum((trace.output() - ts) ** 2, axis=(-2, -1)) / xs.shape[-1]
-                if not np.isfinite(loss).all():
-                    drop({p: TrainingDiverged(f"non-finite loss at epoch {epoch}, "
-                                              f"rule {base.rule}")
-                          for p in np.flatnonzero(~np.isfinite(loss))})
-                    continue
-                try:
-                    deltas = rule_updates(base.rule, net, trace, ts, inc)
-                except linalg.SingularMatrix as exc:
-                    drop({p: linalg.SingularMatrix(text)
-                          for p, text in exc.members.items()} or {0: exc})
-                    continue
-                for lam, sel in reg:
-                    for i, layer in enumerate(net.layers):
-                        deltas[i][sel] -= ortho_reg_grad(layer.weight[sel], lam, base.reg_mode)
-                # the others step as they would alone
-                drop({p: TrainingDiverged(f"non-finite weights at epoch {epoch}, "
-                                          f"rule {base.rule}")
-                      for p in adam_step(state, net, deltas)})
-                break
-            if not live:
-                break
-        failed = {}
-        for p, c in enumerate(live):
-            cell = cell_net(p)
+            trace = forward(net, x)
+            loss = 0.5 * np.sum((trace.output() - t) ** 2, axis=(-2, -1)) / x.shape[-1]
+            if not np.isfinite(loss).all():
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, rule {base.rule}")
+            deltas = rule_updates(base.rule, net, trace, t, inc)
+            for lam, sel in reg:
+                for i, layer in enumerate(net.layers):
+                    deltas[i][sel] -= ortho_reg_grad(layer.weight[sel], lam, base.reg_mode)
+            try:
+                adam_step(state, net, deltas)
+            except ValueError:  # the weight setter rejects non-finite entries
+                raise TrainingDiverged(
+                    f"non-finite weights at epoch {epoch}, rule {base.rule}") from None
+        cells = [net] if len(cfgs) == 1 else [
+            Network([Layer(layer.weight[c], layer.activation, layer.forward_width)
+                     for layer in net.layers]) for c in range(len(cfgs))]
+        for cell, record in zip(cells, records):
             train_acc, train_loss = evaluate(cell, train_ds)
             test_acc, test_loss = evaluate(cell, test_ds)
             if not np.isfinite(train_loss + test_loss):
-                failed[p] = TrainingDiverged(f"non-finite loss after epoch {epoch}, "
-                                             f"rule {base.rule}")
-                continue
-            outcomes[c].epochs.append({
+                raise TrainingDiverged(f"non-finite loss after epoch {epoch}, "
+                                       f"rule {base.rule}")
+            record.epochs.append({
                 "epoch": epoch,
                 "train_acc": train_acc,
                 "test_acc": test_acc,
                 "mean_loss": train_loss,
                 "ortho_errors": ortho_drift(cell),
             })
-        drop(failed)
 
     wall = time.perf_counter() - started
-    for p, c in enumerate(live):
-        record = outcomes[c]
+    for record in records:
         if record.epochs:
             record.peak_train_acc = max(e["train_acc"] for e in record.epochs)
             record.peak_test_acc = max(e["test_acc"] for e in record.epochs)
             record.final_train_acc = record.epochs[-1]["train_acc"]
             record.final_test_acc = record.epochs[-1]["test_acc"]
         record.wall_clock_s = wall
-        if cfgs[c].save_checkpoint:
-            save_checkpoint(cell_net(p), cfgs[c].save_checkpoint)
-    return outcomes
+    if base.save_checkpoint:
+        save_checkpoint(net, base.save_checkpoint)
+    return records
 
 
 def write_run_outputs(record: RunRecord, out_dir) -> None:
@@ -488,8 +435,10 @@ def gridsearch(base: ExperimentConfig, etas, lambdas) -> GridResult:
 
     Cells train in lockstep groups (``_train_cells``) whose stacked weights
     fit in ``LOCKSTEP_BYTES``, each cell byte-identical to its own ``train``;
-    a cell above that budget trains alone through ``train``. A lockstep
-    record's ``wall_clock_s`` is its group's wall time.
+    a cell above that budget trains alone through ``train``. A group stops
+    at its first failure, and its cells then retrain alone, each for its own
+    record or error. A lockstep record's ``wall_clock_s`` is its group's
+    wall time; a record trained alone has its own.
     """
     etas, lambdas = list(etas), list(lambdas)
     if not etas or not lambdas:
@@ -508,19 +457,27 @@ def gridsearch(base: ExperimentConfig, etas, lambdas) -> GridResult:
     cell_bytes = 8 * sum(n * n for n in base.resolved_widths())
     size = max(1, LOCKSTEP_BYTES // cell_bytes)
     for group in (keys[i:i + size] for i in range(0, len(keys), size)):
-        if size == 1:  # a cell above the budget trains alone, as train runs it
-            try:
-                outcomes = [train(cells[group[0]], data)]
-            except (TrainingDiverged, linalg.SingularMatrix) as exc:
-                outcomes = [exc]
-        else:
-            outcomes = _train_cells([cells[cell] for cell in group], data)
+        cfgs = [cells[cell] for cell in group]
+        try:
+            outcomes = (_train_cells(cfgs, data) if size > 1
+                        else [_train_alone(cfgs[0], data)])
+        except (TrainingDiverged, linalg.SingularMatrix):  # the group stopped
+            outcomes = [_train_alone(cfg, data) for cfg in cfgs]
         for cell, out in zip(group, outcomes):
             if isinstance(out, Exception):
                 result.failures[cell] = f"{type(out).__name__}: {out}"
             else:
                 result.records[cell] = out
     return result
+
+
+def _train_alone(cfg: ExperimentConfig,
+                 data: tuple[Dataset, Dataset]) -> RunRecord | Exception:
+    """A sweep cell's RunRecord, or the exception its own run raises."""
+    try:
+        return train(cfg, data)
+    except (TrainingDiverged, linalg.SingularMatrix) as exc:
+        return exc
 
 
 def write_grid_csv(result: GridResult, path) -> None:

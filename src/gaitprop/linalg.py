@@ -16,16 +16,7 @@ SINGULAR_RCOND = 1e-12
 
 
 class SingularMatrix(Exception):
-    """Raised when a matrix cannot be inverted (rank-deficient weights).
-
-    For a stack of matrices, ``members`` maps the index of each singular
-    matrix to the text that inverting it alone raises; it is empty for a
-    single matrix.
-    """
-
-    def __init__(self, message: str, members: dict[int, str] | None = None):
-        super().__init__(message)
-        self.members = members or {}
+    """Raised when a matrix cannot be inverted (rank-deficient weights)."""
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -67,42 +58,27 @@ def invert(m: np.ndarray) -> np.ndarray:
 
     A stack ``(cells, n, n)`` is inverted by the same calls on the stack,
     which run LAPACK and BLAS once per matrix, so each inverse has the bytes
-    it has alone. If any matrix is singular, the SingularMatrix raised names
-    every singular one in ``members``.
+    it has alone. A stack is singular if any member is, and reports the
+    smallest reciprocal condition number among its members.
     """
     m = as_matrix(m, stack=True)
     try:
         inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:  # for a stack, any one zero pivot fails it all
-        if m.ndim == 2:
-            raise SingularMatrix("exact zero pivot in the LU factorization") from None
-        raise _singular_members(m) from None
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("exact zero pivot in the LU factorization") from None
     # the 1-norms are column sums' maxima, as np.linalg.norm(., 1) computes them
     with np.errstate(all="ignore"):  # an overflow here is reported as rcond 0
         rcond = 1.0 / (np.abs(m).sum(axis=-2).max(axis=-1)
                        * np.abs(inv).sum(axis=-2).max(axis=-1))
-    if m.ndim == 3:
-        if not (np.isfinite(rcond) & (rcond >= SINGULAR_RCOND)).all():
-            raise _singular_members(m)
-    elif not np.isfinite(rcond) or rcond < SINGULAR_RCOND:
+    if m.ndim == 3:  # a one-matrix call, the common one, pays for no reduction
+        rcond = rcond.min()
+    if not np.isfinite(rcond) or rcond < SINGULAR_RCOND:
         raise SingularMatrix(
             f"reciprocal condition number {rcond:.3e} below {SINGULAR_RCOND:.0e}"
         )
     eye = np.eye(m.shape[-1])
     inv = inv + inv @ (eye - m @ inv)
     return inv
-
-
-def _singular_members(stack: np.ndarray) -> SingularMatrix:
-    """The error for a stack, naming each member that fails alone."""
-    members = {}
-    for i, m in enumerate(stack):
-        try:
-            invert(m)
-        except SingularMatrix as exc:
-            members[i] = str(exc)
-    return SingularMatrix(f"{len(members)} of {len(stack)} stacked matrices are singular",
-                          members)
 
 
 def orthogonal_init(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -221,10 +221,14 @@ def output(net: Network, x: np.ndarray) -> np.ndarray:
 
 
 def check_widths(total_widths, output_width: int) -> None:
-    """Raise ValueError unless widths are >= 1, non-increasing and fit output_width."""
+    """Raise ValueError unless widths are >= 1, non-increasing, fit output_width
+    and each give an n x n float64 weight numpy can size."""
     widths = list(total_widths)
     if not widths or min(widths) < 1 or widths != sorted(widths, reverse=True):
         raise ValueError(f"widths {tuple(widths)} must be >= 1 and non-increasing")
+    if int(widths[0]) ** 2 * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"width {widths[0]} is too large: its float64 weight exceeds "
+                         "numpy's maximum array size")
     if not 1 <= output_width <= widths[-1]:
         raise ValueError(f"output width (classes) {output_width} must lie in [1, {widths[-1]}]")
 

@@ -36,18 +36,15 @@ class AdamState:
         self.v = [np.zeros_like(layer.weight) for layer in net.layers]
 
 
-def adam_step(state: AdamState, net: Network, deltas: list[np.ndarray]) -> list[int]:
+def adam_step(state: AdamState, net: Network, deltas: list[np.ndarray]) -> None:
     """One bias-corrected Adam step, applied to the network in place.
 
-    Mutates ``state`` and ``net`` under the caller's exclusive access.
-    Returns the positions of the cells that got a non-finite weight (``[0]``
-    for a network without a cell axis). Such a cell keeps its old weight in
-    that layer and must not step again; every other cell steps as it would
-    alone.
+    Mutates ``state`` and ``net`` under the caller's exclusive access. A
+    non-finite new weight raises ValueError from the weight setter, and
+    that layer keeps its old weight.
     """
     if len(deltas) != net.depth:
         raise ValueError(f"update has {len(deltas)} layers, network has {net.depth}")
-    failed: set[int] = set()
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
@@ -71,12 +68,4 @@ def adam_step(state: AdamState, net: Network, deltas: list[np.ndarray]) -> list[
         step = m / bc1
         step *= state.eta
         step /= buf
-        np.subtract(layer.weight, step, out=step)
-        try:
-            layer.weight = step
-        except ValueError:  # the weight setter rejects non-finite entries
-            bad = ~np.isfinite(step).all(axis=(-2, -1))
-            step[bad] = layer.weight[bad]
-            layer.weight = step
-            failed.update(np.flatnonzero(bad).tolist())
-    return sorted(failed)
+        layer.weight = np.subtract(layer.weight, step, out=step)

@@ -250,6 +250,9 @@ def test_inspect_bad_stored_value(case, tmp_path, capsys):
      "epochs=0"],
     ["gridsearch", "--etas", "1e-3", "--lambdas", "", "--set", "width=16", "--set",
      "classes=4", "--set", "epochs=0"],
+    # a 4e9-wide weight is past numpy's largest array, and is rejected unbuilt
+    ["train", "--set", "width=4000000000", "--set", "depth=1"],
+    ["gridsearch", "--set", "width=4000000000", "--set", "depth=1"],
 ])
 def test_config_mistakes_exit_2(argv, tmp_path, capsys):
     # An exception escaping main() fails this test, as a traceback on
@@ -282,6 +285,25 @@ def test_unwritable_output_fails_before_training(patched, argv, tmp_path,
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error[io]: ")
     assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("patched,argv", [
+    ("gaitprop.harness.simulate", ["equilibrium", "--dt", "1e-9", "--nus", "0"]),
+    ("gaitprop.harness.synthetic_teacher",
+     ["train", "--set", "width=100000", "--set", "depth=1"]),
+    ("gaitprop.cli.synthetic_teacher_quantized", ["datagen", "--n-in", "100000000"]),
+])
+def test_memory_exhaustion_exits_1(patched, argv, tmp_path, monkeypatch, capsys):
+    # These inputs ask for 969 GiB, 74.5 GiB and 71.1 PiB. The first call
+    # that allocates fails as numpy's allocator does, without allocating.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 969. GiB for an array")
+
+    monkeypatch.setattr(patched, out_of_memory)
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert lines == ["error[memory]: Unable to allocate 969. GiB for an array"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -317,7 +317,7 @@ class TestLockstep:
         base = replace(HALVING, rule="gait", train_samples=samples)
         etas, lambdas = [1e150, 1e-3, 1e-4], [0.0, 0.1, 1e308]
         got = sweep(base, etas, lambdas)
-        assert groups == [9]
+        assert groups == [9] + [1] * 9  # the group stops, and each cell retrains alone
         for (eta, lam), cell in got.items():
             assert cell == standalone(base, etas, lambdas, eta, lam)
         failures = [cell for cell in got.values() if isinstance(cell, str)]
@@ -345,7 +345,7 @@ class TestLockstep:
 
         monkeypatch.setattr(harness, "build_from_config", broken)
         got = sweep(base, etas, lambdas)
-        assert groups == [4]
+        assert groups == [4] + [1] * 4
         assert got[(1e-3, 0.1)].startswith("SingularMatrix: exact zero pivot")
         assert got[(1e-4, 0.0)].startswith("SingularMatrix: reciprocal condition number")
         for (eta, lam), cell in got.items():
@@ -366,6 +366,21 @@ class TestLockstep:
         gridsearch(replace(TINY, epochs=1), etas=[1e-3, 1e-4], lambdas=[0.0, 0.1, 10.0])
         assert groups == sizes
         assert len(trained) == (6 if sizes[0] == 1 else 0)  # a cell alone runs as train
+
+    @pytest.mark.parametrize("rule", harness.RULES)
+    def test_default_sweep_trains_as_one_group(self, rule, groups, monkeypatch):
+        # A failing cell sends its whole group to serial training, so a
+        # default sweep of the 64-32-16-10 net that starts to fail would
+        # lose the lockstep speed silently.
+        alone = []
+        monkeypatch.setattr(harness, "train", lambda cfg, data=None: alone.append(cfg))
+        base = ExperimentConfig(rule=rule, arch="halving", width=64, depth=4, classes=10,
+                                batch_size=64, epochs=2, train_samples=640,
+                                test_samples=128)
+        result = gridsearch(base, harness.DEFAULT_ETAS, harness.DEFAULT_LAMBDAS)
+        assert groups == [12]
+        assert alone == [] and result.failures == {}
+        assert len(result.records) == 12
 
     @pytest.mark.parametrize("width,depth,etas,lambdas,sizes", [
         (64, 4, harness.DEFAULT_ETAS, harness.DEFAULT_LAMBDAS, [12]),  # 525 KB

@@ -100,31 +100,27 @@ class TestAdamStep:
             assert state.m[i].tobytes() == ref_state.m[i].tobytes()
             assert state.v[i].tobytes() == ref_state.v[i].tobytes()
 
-    def test_stacked_cells_step_alone_and_report_non_finite_ones(self):
+    def test_stacked_non_finite_cell_raises_and_keeps_the_layer(self):
         nets = [make_net([6, 4], 3, seed=s) for s in (11, 12, 13)]
         rng = make_rng(14)
         upds = [[rng.standard_normal(l.weight.shape) for l in n.layers] for n in nets]
         upds[1][0][2, 3] = np.nan  # cell 1 writes a non-finite weight in layer 0
-        etas = [1e-3, 1e-2, 1e-4]
         stacked = Network([Layer(np.stack([n.layers[i].weight for n in nets]),
                                  layer.activation, layer.forward_width)
                            for i, layer in enumerate(nets[0].layers)])
-        before = [l.weight.copy() for l in stacked.layers]
-        state = AdamState(stacked, eta=np.array(etas)[:, None, None])
-        assert adam_step(state, stacked, [np.stack(u) for u in zip(*upds)]) == [1]
-        assert np.array_equal(stacked.layers[0].weight[1], before[0][1])  # kept
-        for c in (0, 2):
-            alone = AdamState(nets[c], eta=etas[c])
-            assert adam_step(alone, nets[c], upds[c]) == []
-            for layer, own in zip(stacked.layers, nets[c].layers):
-                assert layer.weight[c].tobytes() == own.weight.tobytes()
+        before = stacked.layers[0].weight.copy()
+        state = AdamState(stacked, eta=np.array([1e-3, 1e-2, 1e-4])[:, None, None])
+        with pytest.raises(ValueError, match="finite"):
+            adam_step(state, stacked, [np.stack(u) for u in zip(*upds)])
+        assert stacked.layers[0].weight.tobytes() == before.tobytes()
 
-    def test_non_finite_weight_is_reported_and_not_written(self):
+    def test_non_finite_weight_raises_and_is_not_written(self):
         net = make_net([4], 2, seed=15)
         before = net.layers[0].weight.copy()
         state = AdamState(net, eta=1e300)
         with np.errstate(invalid="ignore"):  # inf / inf, as in a diverging run
-            assert adam_step(state, net, constant_update(net, np.inf)) == [0]
+            with pytest.raises(ValueError, match="finite"):
+                adam_step(state, net, constant_update(net, np.inf))
         assert np.array_equal(net.layers[0].weight, before)
 
     def test_shape_mismatch_rejected(self):
