@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,8 +126,9 @@ def one_hot_batch(labels: np.ndarray, classes: int) -> np.ndarray:
 
 def check_teacher(n_in: int, depth: int, n_classes: int) -> None:
     """Raise ValueError unless a teacher of this shape can label n_classes."""
-    if depth < 1 or not 1 <= n_classes <= n_in:
-        raise ValueError(f"need teacher depth >= 1 and 1 <= classes <= n_in = {n_in}")
+    if not 1 <= depth <= sys.maxsize or not 1 <= n_classes <= n_in:
+        raise ValueError(f"need 1 <= teacher depth <= {sys.maxsize} (the largest "
+                         f"sequence length) and 1 <= classes <= n_in = {n_in}")
 
 
 def _teacher_draw(n_in: int, depth: int, n_classes: int, samples: int,

@@ -52,6 +52,9 @@ class CircuitConfig:
             raise ValueError(f"dt must lie in (0, tau/10), got {self.dt}")
         if self.duration <= 0 or not 0 <= self.onset <= self.duration:
             raise ValueError("need 0 <= onset <= duration and duration > 0")
+        if not self.duration / self.dt <= np.iinfo(np.intp).max:  # an infinite count too
+            raise ValueError(f"duration / dt = {self.duration / self.dt:g} steps is past "
+                             "numpy's largest index")
         n = w.shape[0]
         if np.asarray(self.x).shape != (n,) or np.asarray(self.t2).shape != (n,):
             raise ValueError("x and t2 must be length-n vectors")

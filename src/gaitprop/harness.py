@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -23,7 +24,7 @@ from .network import Activation, Layer, Network, build_network, check_widths, fo
     output, save_checkpoint
 from .optim import AdamState, adam_step
 from .rules import IncrementalConfig, bp_updates, gait_targets, gait_updates, \
-    itp_targets, itp_updates, ortho_reg_grad, tp_targets, tp_updates
+    itp_targets, itp_updates, ortho_reg_grad, tp_targets, tp_updates, update_scale
 
 RULES = ("bp", "tp", "itp", "gait")
 
@@ -86,6 +87,8 @@ class ExperimentConfig:
     def resolved_widths(self) -> tuple[int, ...]:
         if self.widths is not None:
             return tuple(self.widths)
+        if not 1 <= self.depth <= sys.maxsize:  # no widths tuple that long can exist
+            raise ConfigError(f"depth must lie in [1, {sys.maxsize}], got {self.depth}")
         if self.arch == "fixed":
             return (self.width,) * self.depth
         if self.arch == "halving":
@@ -144,6 +147,7 @@ class ExperimentConfig:
         widths = self.resolved_widths()
         try:  # each range that a library object enforces is checked by that object
             IncrementalConfig(gamma=self.gamma)
+            update_scale(self.gamma, len(widths), 0)  # align runs gait whatever the rule
             Activation(self.activation, self.alpha)
             check_widths(widths, self.classes)
             check_teacher(widths[0], self.teacher_depth, self.classes)
@@ -279,9 +283,9 @@ def rule_updates(rule: str, net: Network, trace, t_out, inc: IncrementalConfig):
     if rule == "tp":
         return tp_updates(trace, tp_targets(net, trace, t_out))
     if rule == "itp":
-        return itp_updates(trace, itp_targets(net, trace, t_out, inc), inc)
+        return itp_updates(trace, itp_targets(net, trace, t_out, inc))
     if rule == "gait":
-        return gait_updates(trace, gait_targets(net, trace, t_out, inc), inc)
+        return gait_updates(trace, gait_targets(net, trace, t_out, inc))
     raise ConfigError(f"unknown rule {rule!r}")
 
 
@@ -499,6 +503,9 @@ def align_experiment(cfg: ExperimentConfig, n_samples: int
     for both init modes. Returns reports keyed [init][rule]."""
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
+    if cfg.gamma >= 1.0:
+        raise ConfigError("align runs gait, which needs gamma < 1 (its blend is "
+                          "gamma * gain^2)")
     available = cfg.train_samples
     if cfg.dataset == "idx":  # the train pair only; loading it counts its rows
         train_ds = _load_idx_split(cfg, cfg.resolved_widths()[0], cfg.train_images,

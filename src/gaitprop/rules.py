@@ -63,10 +63,12 @@ class TargetStack:
     docstring); a layer's target is ``trace.forward_part(l) - gaps[l]``.
     ``sign_flips`` counts, per sample, how many units crossed the leaky-ReLU
     kink while blending; zero means the piecewise-linear inversion was exact
-    for that sample.
+    for that sample. ``gamma`` is the base of the rule's update scale
+    ``s_l = gamma^-(top - l)``: 1.0 for tp, the blend factor for itp and gait.
     """
 
     flavor: str
+    gamma: float
     gaps: list[np.ndarray]
     sign_flips: np.ndarray
 
@@ -93,6 +95,17 @@ def _backward(trace: ForwardTrace, t_out: np.ndarray, propagate) -> list[np.ndar
     return errs
 
 
+def update_scale(gamma: float, depth: int, layer: int) -> float:
+    """``s_l = gamma^-(depth - 1 - layer)``, the factor that restores bp's
+    update size at layer ``layer`` of a ``depth``-layer network; ValueError
+    when it overflows float64, which it first does at layer 0."""
+    try:
+        return float(gamma) ** -(depth - 1 - layer)
+    except OverflowError:
+        raise ValueError(f"gamma {gamma} is too small for depth {depth}: "
+                         f"gamma^-{depth - 1} overflows float64") from None
+
+
 def _local_updates(
     trace: ForwardTrace, errs: list[np.ndarray], gamma: float = 1.0,
     gained: dict[int, np.ndarray] | None = None,
@@ -106,7 +119,6 @@ def _local_updates(
     exactly 1 (bp, tp and every top layer) is not applied, so the update
     takes one pass after the product."""
     n = trace.n_samples
-    top = trace.depth - 1
     deltas = []
     for l in range(trace.depth):
         if gained and l in gained:
@@ -115,7 +127,7 @@ def _local_updates(
             d = trace.gains[l] * _pad_rows(errs[l], trace.activations[l].shape[-2])
         delta = d @ trace.layer_input(l).mT
         np.divide(delta, -n, out=delta)
-        scale = gamma ** -(top - l)
+        scale = update_scale(gamma, trace.depth, l)
         if scale != 1.0:
             delta *= scale
         deltas.append(delta)
@@ -161,7 +173,8 @@ def _inverse_displacement(act: np.ndarray, disp: np.ndarray, slope: float):
 
 
 def _target_stack(
-    net: Network, trace: ForwardTrace, t_out: np.ndarray, blend, flavor: str
+    net: Network, trace: ForwardTrace, t_out: np.ndarray, blend, flavor: str,
+    gamma: float,
 ) -> TargetStack:
     """Gap recursion of the target rules: layer l's activation moves
     ``blend(l) * gap`` toward its target (auxiliary units stay put) and the
@@ -181,13 +194,13 @@ def _target_stack(
         return layer.weight_inv @ v
 
     gaps = _backward(trace, t_out, propagate)
-    return TargetStack(flavor=flavor, gaps=gaps, sign_flips=flips)
+    return TargetStack(flavor=flavor, gamma=gamma, gaps=gaps, sign_flips=flips)
 
 
 def tp_targets(net: Network, trace: ForwardTrace, t_out: np.ndarray) -> TargetStack:
     """Layer-wise targets from exact inversion of the output target: the
     gap recursion with the whole gap blended in at every layer."""
-    return _target_stack(net, trace, t_out, lambda l: 1.0, "tp")
+    return _target_stack(net, trace, t_out, lambda l: 1.0, "tp", 1.0)
 
 
 def itp_targets(
@@ -195,7 +208,7 @@ def itp_targets(
 ) -> TargetStack:
     """Incremental targets: blend a fixed fraction gamma toward the target
     before each inversion. gamma = 1 degenerates to plain target propagation."""
-    return _target_stack(net, trace, t_out, lambda l: cfg.gamma, "itp")
+    return _target_stack(net, trace, t_out, lambda l: cfg.gamma, "itp", cfg.gamma)
 
 
 def gait_targets(
@@ -211,15 +224,15 @@ def gait_targets(
             )
         return b
 
-    return _target_stack(net, trace, t_out, blend, "gait")
+    return _target_stack(net, trace, t_out, blend, "gait", cfg.gamma)
 
 
 def _target_updates(
-    trace: ForwardTrace, targets: TargetStack, flavor: str, gamma: float = 1.0
+    trace: ForwardTrace, targets: TargetStack, flavor: str
 ) -> list[np.ndarray]:
     if targets.flavor != flavor:
         raise ValueError(f"expected {flavor} targets, got {targets.flavor!r}")
-    return _local_updates(trace, targets.gaps, gamma)
+    return _local_updates(trace, targets.gaps, targets.gamma)
 
 
 def tp_updates(trace: ForwardTrace, targets: TargetStack) -> list[np.ndarray]:
@@ -228,20 +241,16 @@ def tp_updates(trace: ForwardTrace, targets: TargetStack) -> list[np.ndarray]:
     return _target_updates(trace, targets, "tp")
 
 
-def itp_updates(
-    trace: ForwardTrace, targets: TargetStack, cfg: IncrementalConfig
-) -> list[np.ndarray]:
-    """Updates from incremental targets, rescaled by gamma^-(depth-1-l) so
-    magnitudes match backprop layer by layer."""
-    return _target_updates(trace, targets, "itp", cfg.gamma)
+def itp_updates(trace: ForwardTrace, targets: TargetStack) -> list[np.ndarray]:
+    """Updates from incremental targets, rescaled by the stack's own
+    gamma^-(depth-1-l) so magnitudes match backprop layer by layer."""
+    return _target_updates(trace, targets, "itp")
 
 
-def gait_updates(
-    trace: ForwardTrace, targets: TargetStack, cfg: IncrementalConfig
-) -> list[np.ndarray]:
+def gait_updates(trace: ForwardTrace, targets: TargetStack) -> list[np.ndarray]:
     """Updates from gradient-adjusted targets, rescaled as for itp_updates.
     With orthogonal weights and no kink crossings these equal bp_updates."""
-    return _target_updates(trace, targets, "gait", cfg.gamma)
+    return _target_updates(trace, targets, "gait")
 
 
 def _check_lambda(lam: float) -> None:
@@ -337,9 +346,8 @@ def correction_matrices(
         fwd_gait = (w / a[:, None]) @ fwd_gait
     a_here = trace.gains[layer_index][:, 0]
     sandwich = lambda middle: (a_here[:, None] * middle) / a_here[None, :]
-    scale = float(cfg.gamma) ** -(depth - 1 - layer_index)
     return CorrectionMatrices(
         itp=sandwich(back @ fwd_itp),
         gait=sandwich(back @ fwd_gait),
-        scale=scale,
+        scale=update_scale(cfg.gamma, depth, layer_index),
     )

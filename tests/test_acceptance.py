@@ -92,7 +92,7 @@ def test_criterion_3_gait_bp_equivalence():
         ts = trace.output() + rng.normal(0, 0.5, (10, 64))
         stack = gait_targets(net, trace, ts, CFG)
         bp_all = bp_updates(net, trace, ts)
-        gait_all = gait_updates(trace, stack, CFG)
+        gait_all = gait_updates(trace, stack)
         # aggregate cosine over all samples, flips included
         for l in range(net.depth):
             a, b = gait_all[l].ravel(), bp_all[l].ravel()
@@ -104,7 +104,7 @@ def test_criterion_3_gait_bp_equivalence():
             tr_i = forward(net, xs[:, [i]])
             st_i = gait_targets(net, tr_i, ts[:, [i]], CFG)
             bp_i = bp_updates(net, tr_i, ts[:, [i]])
-            g_i = gait_updates(tr_i, st_i, CFG)
+            g_i = gait_updates(tr_i, st_i)
             for l in range(net.depth):
                 rel = np.linalg.norm(g_i[l] - bp_i[l]) \
                     / np.linalg.norm(bp_i[l])
@@ -125,7 +125,7 @@ def test_criterion_4_order_of_gamma_convergence():
         for (net, t), pin in zip(instances, pins):
             trace = forward(net, x)
             stack = gait_targets(net, trace, t, cfg)
-            gait = gait_updates(trace, stack, cfg)
+            gait = gait_updates(trace, stack)
             bp = bp_updates(net, trace, t)
             worst = 0.0
             for l in range(net.depth - 1):
@@ -216,8 +216,8 @@ def test_criterion_8_auxiliary_freeze():
     ts = trace.output() + rng.normal(0, 0.3, (4, 100))
     updates = {
         "tp": tp_updates(trace, tp_targets(net, trace, ts)),
-        "itp": itp_updates(trace, itp_targets(net, trace, ts, CFG), CFG),
-        "gait": gait_updates(trace, gait_targets(net, trace, ts, CFG), CFG),
+        "itp": itp_updates(trace, itp_targets(net, trace, ts, CFG)),
+        "gait": gait_updates(trace, gait_targets(net, trace, ts, CFG)),
     }
     all_zero = all(
         np.all(upd[l][net.layers[l].forward_width:] == 0.0)

@@ -253,6 +253,20 @@ def test_inspect_bad_stored_value(case, tmp_path, capsys):
     # a 4e9-wide weight is past numpy's largest array, and is rejected unbuilt
     ["train", "--set", "width=4000000000", "--set", "depth=1"],
     ["gridsearch", "--set", "width=4000000000", "--set", "depth=1"],
+    # gamma^-(depth-1) overflows float64; align runs gait whatever the rule
+    ["train", "--set", "rule=gait", "--set", "gamma=1e-200"],
+    ["train", "--set", "rule=itp", "--set", "gamma=1e-200"],
+    ["gridsearch", "--set", "rule=gait", "--set", "gamma=1e-200"],
+    ["align", "--set", "rule=bp", "--set", "gamma=1e-200"],
+    # align runs gait, whose blend needs gamma < 1, whatever the rule
+    ["align", "--set", "rule=bp", "--set", "gamma=1"],
+    # duration / dt is an infinite step count
+    ["equilibrium", "--dt", "1e-310"],
+    # depths past the largest sequence length
+    ["train", "--set", "depth=99999999999999999999999"],
+    ["align", "--set", "depth=99999999999999999999999"],
+    ["train", "--set", "teacher_depth=99999999999999999999999"],
+    ["datagen", "--depth", "99999999999999999999999"],
 ])
 def test_config_mistakes_exit_2(argv, tmp_path, capsys):
     # An exception escaping main() fails this test, as a traceback on

@@ -79,7 +79,7 @@ class TestRuleAlignment:
         trace = forward(net, xs)
         ts = trace.output() + rng.normal(0, 0.5, (10, 64))
         bp = bp_updates(net, trace, ts)
-        gait = gait_updates(trace, gait_targets(net, trace, ts, cfg), cfg)
+        gait = gait_updates(trace, gait_targets(net, trace, ts, cfg))
         tp = tp_updates(trace, tp_targets(net, trace, ts))
         gait_rep = align(gait, bp, make_rng(0))
         tp_rep = align(tp, bp, make_rng(0))

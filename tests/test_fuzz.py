@@ -23,11 +23,11 @@ def check_theorems(net, x, t, gamma: float, path) -> None:
 
     tp = tp_updates(trace, tp_targets(net, trace, t))
     one = IncrementalConfig(1.0)
-    itp_one = itp_updates(trace, itp_targets(net, trace, t, one), one)
+    itp_one = itp_updates(trace, itp_targets(net, trace, t, one))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(itp_one, tp))
     gait_stack = gait_targets(net, trace, t, inc)
-    updates = [tp, itp_updates(trace, itp_targets(net, trace, t, inc), inc),
-               gait_updates(trace, gait_stack, inc)]
+    updates = [tp, itp_updates(trace, itp_targets(net, trace, t, inc)),
+               gait_updates(trace, gait_stack)]
     for upd in updates:
         for l, layer in enumerate(net.layers):
             assert np.all(upd[l][layer.forward_width:] == 0.0)
@@ -39,7 +39,7 @@ def check_theorems(net, x, t, gamma: float, path) -> None:
         stack = gait_targets(net, sub, t[:, calm], inc)
         assert np.all(stack.sign_flips == 0)
         bp = bp_updates(net, sub, t[:, calm])
-        for g, b in zip(gait_updates(sub, stack, inc), bp):
+        for g, b in zip(gait_updates(sub, stack), bp):
             assert np.abs(g - b).max() <= 1e-14 * np.abs(b).max()
 
     save_checkpoint(net, path)

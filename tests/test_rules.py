@@ -24,6 +24,7 @@ from conftest import (
     augmented_inverse,
     controlled_matrix,
     fd_weight_grad,
+    local_updates_oracle,
     loss_to_target,
     make_net,
     masked_ortho_oracle,
@@ -192,6 +193,24 @@ class TestTpUpdates:
             tp_updates(trace, stack)
 
 
+class TestTargetUpdates:
+    @pytest.mark.parametrize("targets,updates", [(itp_targets, itp_updates),
+                                                 (gait_targets, gait_updates)],
+                             ids=["itp", "gait"])
+    def test_scale_is_the_stacks_own_gamma(self, targets, updates, rng):
+        # the stack carries the gamma it was built with, so no other gamma
+        # can scale its updates
+        net = make_net([6, 5, 4], 3, seed=6)
+        trace = forward(net, rng.uniform(0, 1, (6, 4)))
+        t = trace.output() + rng.normal(0, 0.1, (3, 4))
+        for gamma in (1e-3, 0.25):
+            stack = targets(net, trace, t, IncrementalConfig(gamma=gamma))
+            assert stack.gamma == gamma
+            for got, want in zip(updates(trace, stack),
+                                 local_updates_oracle(trace, stack.gaps, gamma)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestItpTargets:
     def test_gamma_one_equals_tp(self, rng):
         # tp and itp at gamma = 1 share the gap recursion, so both are held
@@ -282,7 +301,7 @@ class TestGaitBpEquivalence:
                 continue
             checked += 1
             bp = bp_updates(net, trace, t)
-            gait = gait_updates(trace, stack, CFG)
+            gait = gait_updates(trace, stack)
             for l in range(net.depth):
                 rel = np.linalg.norm(gait[l] - bp[l]) \
                     / np.linalg.norm(bp[l])
@@ -301,7 +320,7 @@ class TestGaitBpEquivalence:
         stack = gait_targets(net, trace, t, CFG)
         assert np.all(stack.sign_flips == 0)
         bp = bp_updates(net, trace, t)
-        gait = gait_updates(trace, stack, CFG)
+        gait = gait_updates(trace, stack)
         for l in range(net.depth):
             rel = np.abs(gait[l] - bp[l]).max() / np.abs(bp[l]).max()
             assert rel < 1e-14
@@ -311,7 +330,7 @@ class TestGaitBpEquivalence:
         trace = forward(net, rng.uniform(0, 1, 10))
         t = rng.standard_normal(6)
         bp = bp_updates(net, trace, t)
-        gait = gait_updates(trace, gait_targets(net, trace, t, CFG), CFG)
+        gait = gait_updates(trace, gait_targets(net, trace, t, CFG))
         assert np.abs(bp[0] - gait[0]).max() < 1e-15
 
     def test_cosine_above_threshold_across_samples(self, rng):
@@ -320,7 +339,7 @@ class TestGaitBpEquivalence:
         trace = forward(net, xs)
         ts = trace.output() + rng.normal(0, 0.5, (10, 100))
         bp = bp_updates(net, trace, ts)
-        gait = gait_updates(trace, gait_targets(net, trace, ts, CFG), CFG)
+        gait = gait_updates(trace, gait_targets(net, trace, ts, CFG))
         for l in range(net.depth):
             a, b = gait[l].ravel(), bp[l].ravel()
             cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
@@ -330,7 +349,7 @@ class TestGaitBpEquivalence:
         net = make_net([8, 8], 4, seed=14)
         trace = forward(net, rng.uniform(0, 1, 8))
         stack = gait_targets(net, trace, trace.output(), CFG)
-        for d in gait_updates(trace, stack, CFG):
+        for d in gait_updates(trace, stack):
             assert np.abs(d).max() < 1e-9
 
 
@@ -344,9 +363,9 @@ class TestAuxiliaryFreeze:
         if flavor == "tp":
             upd = tp_updates(trace, tp_targets(net, trace, ts))
         elif flavor == "itp":
-            upd = itp_updates(trace, itp_targets(net, trace, ts, CFG), CFG)
+            upd = itp_updates(trace, itp_targets(net, trace, ts, CFG))
         else:
-            upd = gait_updates(trace, gait_targets(net, trace, ts, CFG), CFG)
+            upd = gait_updates(trace, gait_targets(net, trace, ts, CFG))
         for l, layer in enumerate(net.layers):
             aux_rows = upd[l][layer.forward_width:]
             assert np.all(aux_rows == 0.0)
@@ -530,7 +549,7 @@ class TestCorrectionMatrices:
         stack = gait_targets(net, trace, t, CFG)
         assert int(stack.sign_flips[0]) == 0
         bp = bp_updates(net, trace, t)
-        gait = gait_updates(trace, stack, CFG)
+        gait = gait_updates(trace, stack)
         for l in range(net.depth - 1):
             n_mat = correction_matrices(net, trace, l, CFG).gait
             lhs = n_mat @ gait[l]
@@ -550,7 +569,7 @@ class TestCorrectionMatrices:
                 stack = gait_targets(net, trace, t, cfg)
                 # the pinned unit flips exactly when the blend passes it
                 assert int(stack.sign_flips[0]) == (1 if pin < gamma else 0)
-                gait = gait_updates(trace, stack, cfg)
+                gait = gait_updates(trace, stack)
                 bp = bp_updates(net, trace, t)
                 worst = 0.0
                 for l in range(net.depth - 1):
