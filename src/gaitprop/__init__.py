@@ -27,7 +27,6 @@ from .network import (  # noqa: F401
     save_checkpoint,
 )
 from .rules import (  # noqa: F401
-    IncrementalConfig,
     TargetStack,
     bp_updates,
     correction_matrices,

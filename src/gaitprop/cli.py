@@ -9,6 +9,7 @@ files, memory exhausted), always with a typed one-line error on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -129,7 +130,7 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_datagen(args) -> int:
-    side = int(np.sqrt(max(args.n_in, 0)))
+    side = math.isqrt(max(args.n_in, 0))
     if args.n_in < 1 or side * side != args.n_in:
         raise ConfigError("n_in must be a positive perfect square to emit IDX images")
     if min(args.train, args.test) < 0:

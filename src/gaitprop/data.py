@@ -124,18 +124,22 @@ def one_hot_batch(labels: np.ndarray, classes: int) -> np.ndarray:
     return out
 
 
-def check_teacher(n_in: int, depth: int, n_classes: int) -> None:
-    """Raise ValueError unless a teacher of this shape can label n_classes."""
+def check_teacher(n_in: int, depth: int, n_classes: int, samples: int) -> None:
+    """Raise ValueError unless a teacher of this shape can label n_classes
+    and numpy can size the ``(samples, n_in)`` float64 inputs."""
     if not 1 <= depth <= sys.maxsize or not 1 <= n_classes <= n_in:
         raise ValueError(f"need 1 <= teacher depth <= {sys.maxsize} (the largest "
                          f"sequence length) and 1 <= classes <= n_in = {n_in}")
+    if samples * n_in * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"a draw of {samples} samples of {n_in} inputs is too large: its "
+                         "float64 array exceeds numpy's maximum array size")
 
 
 def _teacher_draw(n_in: int, depth: int, n_classes: int, samples: int,
                   rng: np.random.Generator):
     """The frozen orthogonal leaky-ReLU teacher, seeded by the rng's first
     draw, and the uniform [0, 1] inputs drawn after it."""
-    check_teacher(n_in, depth, n_classes)
+    check_teacher(n_in, depth, n_classes, samples)
     teacher = build_network([n_in] * depth, n_in, Activation("leaky_relu", 0.01),
                             "orthogonal", int(rng.integers(0, 2**63 - 1)))
     return teacher, rng.uniform(0.0, 1.0, size=(samples, n_in))

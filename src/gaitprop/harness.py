@@ -23,8 +23,8 @@ from .dynamics import CircuitConfig, equilibria, simulate
 from .network import Activation, Layer, Network, build_network, check_widths, forward, \
     output, save_checkpoint
 from .optim import AdamState, adam_step
-from .rules import IncrementalConfig, bp_updates, gait_targets, gait_updates, \
-    itp_targets, itp_updates, ortho_reg_grad, tp_targets, tp_updates, update_scale
+from .rules import bp_updates, gait_targets, gait_updates, itp_targets, itp_updates, \
+    ortho_reg_grad, tp_targets, tp_updates, update_scale
 
 RULES = ("bp", "tp", "itp", "gait")
 
@@ -91,12 +91,10 @@ class ExperimentConfig:
             raise ConfigError(f"depth must lie in [1, {sys.maxsize}], got {self.depth}")
         if self.arch == "fixed":
             return (self.width,) * self.depth
-        if self.arch == "halving":
-            w, out = [], self.width
-            for _ in range(self.depth):
-                w.append(max(out, self.classes))
-                out = max(out // 2, self.classes)
-            return tuple(w)
+        if self.arch == "halving":  # width >> i reaches 0 after width.bit_length() layers
+            head = tuple(max(self.width >> i, self.classes)
+                         for i in range(min(self.depth, self.width.bit_length())))
+            return head + (self.classes,) * (self.depth - len(head))
         raise ConfigError(f"unknown arch {self.arch!r}")
 
     def resolved_eta(self) -> float:
@@ -136,8 +134,9 @@ class ExperimentConfig:
             raise ConfigError("train_samples and test_samples must be >= 0")
         if self.init not in ("auto", "orthogonal", "xavier"):
             raise ConfigError(f"unknown init {self.init!r}")
-        if self.rule == "gait" and self.gamma >= 1.0:
-            raise ConfigError("rule=gait needs gamma < 1 (its blend is gamma * gain^2)")
+        if not self.gamma < 1.0:
+            raise ConfigError(f"gamma must be < 1 for every rule, since align runs gait, "
+                              f"whose blend is gamma * gain^2; got {self.gamma}")
         if self.reg_mode not in ("mask", "product"):
             raise ConfigError(f"unknown reg_mode {self.reg_mode!r}")
         eta, lam = self.resolved_eta(), self.resolved_lam()
@@ -146,11 +145,12 @@ class ExperimentConfig:
                               f"got eta={eta}, lam={lam}")
         widths = self.resolved_widths()
         try:  # each range that a library object enforces is checked by that object
-            IncrementalConfig(gamma=self.gamma)
-            update_scale(self.gamma, len(widths), 0)  # align runs gait whatever the rule
+            update_scale(self.gamma, len(widths), 0)
             Activation(self.activation, self.alpha)
             check_widths(widths, self.classes)
-            check_teacher(widths[0], self.teacher_depth, self.classes)
+            # the counts size a synthetic draw, but only cut idx files
+            samples = self.train_samples + self.test_samples if self.dataset == "synthetic" else 0
+            check_teacher(widths[0], self.teacher_depth, self.classes, samples)
             linalg.make_rng(self.seed)
             linalg.make_rng(self.data_seed)
         except ValueError as exc:
@@ -277,15 +277,15 @@ def build_from_config(cfg: ExperimentConfig) -> Network:
                          cfg.seed)
 
 
-def rule_updates(rule: str, net: Network, trace, t_out, inc: IncrementalConfig):
+def rule_updates(rule: str, net: Network, trace, t_out, gamma: float):
     if rule == "bp":
         return bp_updates(net, trace, t_out)
     if rule == "tp":
         return tp_updates(trace, tp_targets(net, trace, t_out))
     if rule == "itp":
-        return itp_updates(trace, itp_targets(net, trace, t_out, inc))
+        return itp_updates(trace, itp_targets(net, trace, t_out, gamma))
     if rule == "gait":
-        return gait_updates(trace, gait_targets(net, trace, t_out, inc))
+        return gait_updates(trace, gait_targets(net, trace, t_out, gamma))
     raise ConfigError(f"unknown rule {rule!r}")
 
 
@@ -343,7 +343,6 @@ def _train_cells(cfgs: list[ExperimentConfig],
     del nets  # a stack holds copies of the cells' weights
     etas = [cfg.resolved_eta() for cfg in cfgs]
     state = AdamState(net, eta=etas[0] if len(cfgs) == 1 else np.array(etas)[:, None, None])
-    inc = IncrementalConfig(gamma=base.gamma)
     # Each distinct nonzero lambda with its cells, ``...`` for all: the
     # regularizer keeps a scalar lambda, and a cell with lambda 0 skips it, so
     # that no zero gradient turns a -0.0 update into +0.0.
@@ -362,7 +361,7 @@ def _train_cells(cfgs: list[ExperimentConfig],
             loss = 0.5 * np.sum((trace.output() - t) ** 2, axis=(-2, -1)) / x.shape[-1]
             if not np.isfinite(loss).all():
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, rule {base.rule}")
-            deltas = rule_updates(base.rule, net, trace, t, inc)
+            deltas = rule_updates(base.rule, net, trace, t, base.gamma)
             for lam, sel in reg:
                 for i, layer in enumerate(net.layers):
                     deltas[i][sel] -= ortho_reg_grad(layer.weight[sel], lam, base.reg_mode)
@@ -503,9 +502,6 @@ def align_experiment(cfg: ExperimentConfig, n_samples: int
     for both init modes. Returns reports keyed [init][rule]."""
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
-    if cfg.gamma >= 1.0:
-        raise ConfigError("align runs gait, which needs gamma < 1 (its blend is "
-                          "gamma * gain^2)")
     available = cfg.train_samples
     if cfg.dataset == "idx":  # the train pair only; loading it counts its rows
         train_ds = _load_idx_split(cfg, cfg.resolved_widths()[0], cfg.train_images,
@@ -517,15 +513,14 @@ def align_experiment(cfg: ExperimentConfig, n_samples: int
         train_ds = _draw_teacher(cfg, n_samples)
     x = train_ds.inputs[:n_samples].T
     t = one_hot_batch(train_ds.labels[:n_samples], train_ds.n_classes)
-    inc = IncrementalConfig(gamma=cfg.gamma)
     reports: dict[str, dict[str, AlignmentReport]] = {}
     for init in ("orthogonal", "xavier"):
         net = build_from_config(replace(cfg, init=init, allow_init_mismatch=True))
         trace = forward(net, x)
-        bp = rule_updates("bp", net, trace, t, inc)
+        bp = rule_updates("bp", net, trace, t, cfg.gamma)
         reports[init] = {}
         for rule in ("tp", "gait"):
-            reports[init][rule] = align(rule_updates(rule, net, trace, t, inc), bp,
+            reports[init][rule] = align(rule_updates(rule, net, trace, t, cfg.gamma), bp,
                                         rng=linalg.make_rng(cfg.seed))
     return reports
 

@@ -37,24 +37,6 @@ from . import linalg
 from .network import ForwardTrace, Network, _as_columns
 
 
-@dataclass(frozen=True)
-class IncrementalConfig:
-    """Blend factor for incremental targets.
-
-    ``gamma`` is the fraction of the distance toward the target that the
-    blended activation moves per layer. itp and gait updates are always
-    rescaled by the accumulated gamma^-(depth - layer - 1) factor: unscaled,
-    a deep layer's update is of order gamma^(depth-1) of bp's, far below
-    Adam's epsilon.
-    """
-
-    gamma: float = 1e-3
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
-
-
 @dataclass
 class TargetStack:
     """Per-layer gaps (forward activation minus target) of one target rule.
@@ -97,8 +79,15 @@ def _backward(trace: ForwardTrace, t_out: np.ndarray, propagate) -> list[np.ndar
 
 def update_scale(gamma: float, depth: int, layer: int) -> float:
     """``s_l = gamma^-(depth - 1 - layer)``, the factor that restores bp's
-    update size at layer ``layer`` of a ``depth``-layer network; ValueError
-    when it overflows float64, which it first does at layer 0."""
+    update size at layer ``layer`` of a ``depth``-layer network.
+
+    ``gamma`` is the fraction of the distance toward the target that a
+    blended activation moves per layer, in (0, 1]: unscaled, a deep layer's
+    itp or gait update is of order gamma^(depth-1) of bp's, far below Adam's
+    epsilon. ValueError for a gamma outside (0, 1], or when the scale
+    overflows float64, which it first does at layer 0."""
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     try:
         return float(gamma) ** -(depth - 1 - layer)
     except OverflowError:
@@ -178,7 +167,9 @@ def _target_stack(
 ) -> TargetStack:
     """Gap recursion of the target rules: layer l's activation moves
     ``blend(l) * gap`` toward its target (auxiliary units stay put) and the
-    exact pre-image of that displacement is the next gap."""
+    exact pre-image of that displacement is the next gap. A gamma without a
+    finite update scale fails here, before anything propagates."""
+    update_scale(gamma, trace.depth, 0)
     flips = np.zeros(trace.inputs.shape[:-2] + (trace.n_samples,), dtype=np.int64)
 
     def propagate(l: int, gap: np.ndarray) -> np.ndarray:
@@ -204,27 +195,26 @@ def tp_targets(net: Network, trace: ForwardTrace, t_out: np.ndarray) -> TargetSt
 
 
 def itp_targets(
-    net: Network, trace: ForwardTrace, t_out: np.ndarray, cfg: IncrementalConfig
+    net: Network, trace: ForwardTrace, t_out: np.ndarray, gamma: float
 ) -> TargetStack:
     """Incremental targets: blend a fixed fraction gamma toward the target
     before each inversion. gamma = 1 degenerates to plain target propagation."""
-    return _target_stack(net, trace, t_out, lambda l: cfg.gamma, "itp", cfg.gamma)
+    return _target_stack(net, trace, t_out, lambda l: gamma, "itp", gamma)
 
 
 def gait_targets(
-    net: Network, trace: ForwardTrace, t_out: np.ndarray, cfg: IncrementalConfig
+    net: Network, trace: ForwardTrace, t_out: np.ndarray, gamma: float
 ) -> TargetStack:
     """Gradient-adjusted incremental targets: the blend fraction is
-    gamma times the squared activation gain, per unit; it must stay below 1."""
-    def blend(l: int) -> np.ndarray:
-        b = cfg.gamma * trace.gains[l][..., : trace.forward_widths[l], :] ** 2
-        if b.max(initial=0.0) >= 1.0:
-            raise ValueError(
-                f"gamma {cfg.gamma} too large for layer {l} gains (blend {b.max():.3g} >= 1)"
-            )
-        return b
-
-    return _target_stack(net, trace, t_out, blend, "gait", cfg.gamma)
+    gamma times the squared activation gain, per unit. It must stay below
+    1, so gamma must: a gain is at most 1 (a leaky slope lies in (0, 1) and
+    a linear gain is 1), so no blend exceeds gamma."""
+    if not gamma < 1.0:
+        raise ValueError(f"gait needs gamma < 1 (its blend is gamma * gain^2), got {gamma}")
+    return _target_stack(
+        net, trace, t_out,
+        lambda l: gamma * trace.gains[l][..., : trace.forward_widths[l], :] ** 2,
+        "gait", gamma)
 
 
 def _target_updates(
@@ -304,16 +294,15 @@ def ortho_reg_grad(w: np.ndarray, lam: float, mode: str = "mask") -> np.ndarray:
 
 
 class CorrectionMatrices(NamedTuple):
-    """Linear operators mapping scaled incremental updates onto backprop
-    updates, and the gamma rescaling they assume (reported separately)."""
+    """Linear operators mapping incremental updates, scaled by
+    ``update_scale``, onto backprop updates."""
 
     itp: np.ndarray
     gait: np.ndarray
-    scale: float
 
 
 def correction_matrices(
-    net: Network, trace: ForwardTrace, layer_index: int, cfg: IncrementalConfig
+    net: Network, trace: ForwardTrace, layer_index: int
 ) -> CorrectionMatrices:
     """Exact operators relating incremental updates at one layer to backprop.
 
@@ -346,8 +335,4 @@ def correction_matrices(
         fwd_gait = (w / a[:, None]) @ fwd_gait
     a_here = trace.gains[layer_index][:, 0]
     sandwich = lambda middle: (a_here[:, None] * middle) / a_here[None, :]
-    return CorrectionMatrices(
-        itp=sandwich(back @ fwd_itp),
-        gait=sandwich(back @ fwd_gait),
-        scale=update_scale(cfg.gamma, depth, layer_index),
-    )
+    return CorrectionMatrices(itp=sandwich(back @ fwd_itp), gait=sandwich(back @ fwd_gait))

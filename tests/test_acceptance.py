@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from gaitprop import (
-    IncrementalConfig,
     bp_updates,
     correction_matrices,
     forward,
@@ -32,7 +31,7 @@ from conftest import (fd_weight_grad, loss_to_target, make_net, quadratic_loss,
                       sample_away_from_kinks)
 from test_rules import crafted_kink_family, linear_net, update_chain_f
 
-CFG = IncrementalConfig(gamma=1e-3)
+GAMMA = 1e-3
 
 MNIST_DIR = Path(os.environ.get("GAITPROP_MNIST_DIR", "data/mnist"))
 MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
@@ -90,7 +89,7 @@ def test_criterion_3_gait_bp_equivalence():
         xs = rng.uniform(0, 1, (16, 64))
         trace = forward(net, xs)
         ts = trace.output() + rng.normal(0, 0.5, (10, 64))
-        stack = gait_targets(net, trace, ts, CFG)
+        stack = gait_targets(net, trace, ts, GAMMA)
         bp_all = bp_updates(net, trace, ts)
         gait_all = gait_updates(trace, stack)
         # aggregate cosine over all samples, flips included
@@ -102,7 +101,7 @@ def test_criterion_3_gait_bp_equivalence():
         for i in np.nonzero(stack.sign_flips == 0)[0]:
             flip_free += 1
             tr_i = forward(net, xs[:, [i]])
-            st_i = gait_targets(net, tr_i, ts[:, [i]], CFG)
+            st_i = gait_targets(net, tr_i, ts[:, [i]], GAMMA)
             bp_i = bp_updates(net, tr_i, ts[:, [i]])
             g_i = gait_updates(tr_i, st_i)
             for l in range(net.depth):
@@ -120,16 +119,15 @@ def test_criterion_4_order_of_gamma_convergence():
     instances, x, pins = crafted_kink_family(seed=300)
 
     def mean_deviation(gamma):
-        cfg = IncrementalConfig(gamma=gamma)
         total = 0.0
         for (net, t), pin in zip(instances, pins):
             trace = forward(net, x)
-            stack = gait_targets(net, trace, t, cfg)
+            stack = gait_targets(net, trace, t, gamma)
             gait = gait_updates(trace, stack)
             bp = bp_updates(net, trace, t)
             worst = 0.0
             for l in range(net.depth - 1):
-                n_mat = correction_matrices(net, trace, l, cfg).gait
+                n_mat = correction_matrices(net, trace, l).gait
                 rel = np.linalg.norm(n_mat @ gait[l] - bp[l]) \
                     / np.linalg.norm(bp[l])
                 worst = max(worst, rel)
@@ -216,8 +214,8 @@ def test_criterion_8_auxiliary_freeze():
     ts = trace.output() + rng.normal(0, 0.3, (4, 100))
     updates = {
         "tp": tp_updates(trace, tp_targets(net, trace, ts)),
-        "itp": itp_updates(trace, itp_targets(net, trace, ts, CFG)),
-        "gait": gait_updates(trace, gait_targets(net, trace, ts, CFG)),
+        "itp": itp_updates(trace, itp_targets(net, trace, ts, GAMMA)),
+        "gait": gait_updates(trace, gait_targets(net, trace, ts, GAMMA)),
     }
     all_zero = all(
         np.all(upd[l][net.layers[l].forward_width:] == 0.0)

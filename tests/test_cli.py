@@ -267,6 +267,19 @@ def test_inspect_bad_stored_value(case, tmp_path, capsys):
     ["align", "--set", "depth=99999999999999999999999"],
     ["train", "--set", "teacher_depth=99999999999999999999999"],
     ["datagen", "--depth", "99999999999999999999999"],
+    # sample counts whose (samples, n_in) float64 inputs are past numpy's
+    # largest array, rejected before anything is drawn
+    ["train", "--set", "width=8", "--set", "classes=2",
+     "--set", "train_samples=99999999999999999999999"],
+    ["train", "--set", "width=8", "--set", "classes=2",
+     "--set", "train_samples=1000000000000000000"],
+    ["train", "--set", "width=8", "--set", "classes=2",
+     "--set", "test_samples=1000000000000000000"],
+    # an n_in past int64 is not a perfect square
+    ["datagen", "--n-in", "999999999999999999999990"],
+    # align runs gait whatever the rule, so gamma < 1 holds for every rule
+    ["train", "--set", "rule=itp", "--set", "gamma=1", "--set", "width=16",
+     "--set", "classes=4", "--set", "epochs=0"],
 ])
 def test_config_mistakes_exit_2(argv, tmp_path, capsys):
     # An exception escaping main() fails this test, as a traceback on
@@ -320,6 +333,16 @@ def test_memory_exhaustion_exits_1(patched, argv, tmp_path, monkeypatch, capsys)
     assert lines == ["error[memory]: Unable to allocate 969. GiB for an array"]
 
 
+@pytest.mark.parametrize("arch", ["fixed", "halving"])
+def test_unbuildable_depth_exits_1(arch, tmp_path, capsys):
+    # A widths tuple of 1e15 entries is refused at once, unallocated.
+    argv = ["train", "--set", f"arch={arch}", "--set", "depth=1000000000000000"]
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error[memory]: ")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("override", ["eta=1e300", "lam=1e308"])
 def test_divergence_exits_1(override, tmp_path, capsys):
@@ -335,7 +358,8 @@ def test_divergence_exits_1(override, tmp_path, capsys):
 
 # Half the draws are out-of-range, non-finite, huge or malformed; half are
 # small values that most flags accept.
-VALUES = st.one_of(st.sampled_from(["-1", "inf", "nan", "1e308", "junk", ""]),
+HUGE = ["99999999999999999999999", "1000000000000000000"]
+VALUES = st.one_of(st.sampled_from(["-1", "inf", "nan", "1e308", "junk", ""] + HUGE),
                    st.sampled_from(["0", "1", "2", "0.05"]))
 VALUE_LISTS = st.lists(VALUES, max_size=2).map(",".join)
 SET_KEYS = ["width", "depth", "classes", "alpha", "eta", "lam", "gamma", "batch_size",
@@ -352,7 +376,10 @@ def _flags(names, values=VALUES):
 
 
 def _sets(keys):
-    pairs = st.lists(st.tuples(st.sampled_from(keys), VALUES), min_size=1, max_size=2)
+    # A huge epoch count is valid and would train for ever, so it is not drawn.
+    pair = st.tuples(st.sampled_from(keys), VALUES).filter(
+        lambda kv: not (kv[0] == "epochs" and kv[1] in HUGE))
+    pairs = st.lists(pair, min_size=1, max_size=2)
     return pairs.map(lambda ps: [a for key, value in ps for a in ("--set", f"{key}={value}")])
 
 

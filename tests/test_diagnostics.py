@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gaitprop import (
-    IncrementalConfig,
     align,
     bp_updates,
     forward,
@@ -73,13 +72,12 @@ class TestAlign:
 
 class TestRuleAlignment:
     def test_gait_close_to_bp_tp_visibly_lower(self, rng):
-        cfg = IncrementalConfig()
         net = make_net([16] * 4, 10, seed=30)
         xs = rng.uniform(0, 1, (16, 64))
         trace = forward(net, xs)
         ts = trace.output() + rng.normal(0, 0.5, (10, 64))
         bp = bp_updates(net, trace, ts)
-        gait = gait_updates(trace, gait_targets(net, trace, ts, cfg))
+        gait = gait_updates(trace, gait_targets(net, trace, ts, 1e-3))
         tp = tp_updates(trace, tp_targets(net, trace, ts))
         gait_rep = align(gait, bp, make_rng(0))
         tp_rep = align(tp, bp, make_rng(0))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gaitprop import (Activation, IncrementalConfig, bp_updates, build_network,
+from gaitprop import (Activation, bp_updates, build_network,
                       correction_matrices, forward, gait_targets, gait_updates, itp_targets,
                       itp_updates, load_checkpoint, output, save_checkpoint, tp_targets,
                       tp_updates)
@@ -17,16 +17,14 @@ EPS = np.finfo(np.float64).eps
 
 
 def check_theorems(net, x, t, gamma: float, path) -> None:
-    inc = IncrementalConfig(gamma)
     trace = forward(net, x)
     assert output(net, x).tobytes() == trace.output().tobytes()
 
     tp = tp_updates(trace, tp_targets(net, trace, t))
-    one = IncrementalConfig(1.0)
-    itp_one = itp_updates(trace, itp_targets(net, trace, t, one))
+    itp_one = itp_updates(trace, itp_targets(net, trace, t, 1.0))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(itp_one, tp))
-    gait_stack = gait_targets(net, trace, t, inc)
-    updates = [tp, itp_updates(trace, itp_targets(net, trace, t, inc)),
+    gait_stack = gait_targets(net, trace, t, gamma)
+    updates = [tp, itp_updates(trace, itp_targets(net, trace, t, gamma)),
                gait_updates(trace, gait_stack)]
     for upd in updates:
         for l, layer in enumerate(net.layers):
@@ -36,7 +34,7 @@ def check_theorems(net, x, t, gamma: float, path) -> None:
     calm = gait_stack.sign_flips == 0
     if calm.any():
         sub = forward(net, x[:, calm])
-        stack = gait_targets(net, sub, t[:, calm], inc)
+        stack = gait_targets(net, sub, t[:, calm], gamma)
         assert np.all(stack.sign_flips == 0)
         bp = bp_updates(net, sub, t[:, calm])
         for g, b in zip(gait_updates(sub, stack), bp):
@@ -59,7 +57,7 @@ def check_gait_correction_is_identity(net, x, gamma: float) -> None:
     ratios = [g.max() / g.min() for g in trace.gains]
     for l in range(net.depth - 1):
         n = net.layers[l].total_width
-        m = correction_matrices(net, trace, l, IncrementalConfig(gamma))
+        m = correction_matrices(net, trace, l)
         budget = 16 * n * EPS * np.prod(ratios[l:-1])
         assert np.abs(m.gait - np.eye(n)).max() <= budget
 

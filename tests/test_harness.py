@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from gaitprop import Activation, IncrementalConfig, forward, harness, make_rng
+from gaitprop import Activation, forward, harness, make_rng
 from gaitprop.data import (Dataset, load_idx, synthetic_teacher, synthetic_teacher_quantized,
                            write_idx)
 from gaitprop.dynamics import equilibria, simulate
@@ -561,8 +561,7 @@ class TestRuleLookup:
     def test_rule_updates(self, rule, expected, calls, rng):
         net = make_net([8, 6], 4, seed=0)
         trace = forward(net, rng.uniform(0, 1, (8, 3)))
-        harness.rule_updates(rule, net, trace, trace.output() + 0.1,
-                             IncrementalConfig())
+        harness.rule_updates(rule, net, trace, trace.output() + 0.1, 1e-3)
         assert calls == expected
 
     def test_align_experiment(self, calls):

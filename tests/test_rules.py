@@ -3,7 +3,6 @@ import pytest
 
 from gaitprop import (
     Activation,
-    IncrementalConfig,
     Layer,
     Network,
     bp_updates,
@@ -15,6 +14,7 @@ from gaitprop import (
     itp_updates,
     ortho_penalty,
     ortho_reg_grad,
+    rules,
     tp_targets,
     tp_updates,
 )
@@ -34,7 +34,7 @@ from conftest import (
     stack_targets,
 )
 
-CFG = IncrementalConfig(gamma=1e-3)
+GAMMA = 1e-3
 
 
 def linear_net(n, depth, rng, orthogonal=False, classes=None):
@@ -188,7 +188,7 @@ class TestTpUpdates:
     def test_flavor_check(self, rng):
         net = make_net([5, 5], 3, seed=6)
         trace = forward(net, rng.uniform(0, 1, 5))
-        stack = itp_targets(net, trace, trace.output(), CFG)
+        stack = itp_targets(net, trace, trace.output(), GAMMA)
         with pytest.raises(ValueError, match="tp targets"):
             tp_updates(trace, stack)
 
@@ -204,7 +204,7 @@ class TestTargetUpdates:
         trace = forward(net, rng.uniform(0, 1, (6, 4)))
         t = trace.output() + rng.normal(0, 0.1, (3, 4))
         for gamma in (1e-3, 0.25):
-            stack = targets(net, trace, t, IncrementalConfig(gamma=gamma))
+            stack = targets(net, trace, t, gamma)
             assert stack.gamma == gamma
             for got, want in zip(updates(trace, stack),
                                  local_updates_oracle(trace, stack.gaps, gamma)):
@@ -224,7 +224,7 @@ class TestItpTargets:
             reference[l - 1] = augmented_inverse(net.layers[l], reference[l],
                                                  trace.aux_part(l))
         tp = tp_targets(net, trace, t)
-        itp = itp_targets(net, trace, t, IncrementalConfig(gamma=1.0))
+        itp = itp_targets(net, trace, t, 1.0)
         for ref, a, b in zip(reference, stack_targets(trace, tp),
                              stack_targets(trace, itp)):
             assert np.abs(a - ref).max() < 1e-10
@@ -233,7 +233,7 @@ class TestItpTargets:
     def test_fixed_point(self, rng):
         net = make_net([8, 8], 4, seed=8)
         trace = forward(net, rng.uniform(0, 1, 8))
-        stack = itp_targets(net, trace, trace.output(), CFG)
+        stack = itp_targets(net, trace, trace.output(), GAMMA)
         for l, target in enumerate(stack_targets(trace, stack)):
             assert np.abs(target - trace.forward_part(l)).max() < 1e-12
 
@@ -243,12 +243,24 @@ class TestItpTargets:
         net = linear_net(12, 4, rng)
         trace = forward(net, rng.standard_normal(12))
         t = rng.standard_normal(12)
-        stack = itp_targets(net, trace, t, CFG)
+        stack = itp_targets(net, trace, t, GAMMA)
         expected = trace.output()[:, 0] - t
         for l in range(net.depth - 1, 0, -1):
             expected = np.linalg.solve(net.layers[l].weight, expected)
-            scaled = stack.gaps[l - 1][:, 0] * CFG.gamma ** -(net.depth - l)
+            scaled = stack.gaps[l - 1][:, 0] * GAMMA ** -(net.depth - l)
             assert np.linalg.norm(scaled - expected) / np.linalg.norm(expected) < 1e-9
+
+
+    def test_gamma_zero_raises_before_propagating(self, rng, monkeypatch):
+        net = make_net([6, 6], 3, seed=10)
+        trace = forward(net, rng.uniform(0, 1, 6))
+
+        def no_recursion(*args):
+            raise AssertionError("the gap recursion ran")
+
+        monkeypatch.setattr(rules, "_backward", no_recursion)
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\], got 0.0"):
+            itp_targets(net, trace, trace.output(), 0.0)
 
 
 class TestGaitTargets:
@@ -256,15 +268,15 @@ class TestGaitTargets:
         net = linear_net(8, 3, rng)
         trace = forward(net, rng.standard_normal(8))
         t = rng.standard_normal(8)
-        itp = itp_targets(net, trace, t, CFG)
-        gait = gait_targets(net, trace, t, CFG)
+        itp = itp_targets(net, trace, t, GAMMA)
+        gait = gait_targets(net, trace, t, GAMMA)
         for a, b in zip(stack_targets(trace, itp), stack_targets(trace, gait)):
             assert np.array_equal(a, b)
 
     def test_fixed_point(self, rng):
         net = make_net([8, 6], 4, seed=9)
         trace = forward(net, rng.uniform(0, 1, 8))
-        stack = gait_targets(net, trace, trace.output(), CFG)
+        stack = gait_targets(net, trace, trace.output(), GAMMA)
         for l, target in enumerate(stack_targets(trace, stack)):
             assert np.abs(target - trace.forward_part(l)).max() < 1e-12
         assert np.all(stack.sign_flips == 0)
@@ -272,15 +284,26 @@ class TestGaitTargets:
     def test_blend_precondition(self, rng):
         net = make_net([6, 6], 3, seed=10)
         trace = forward(net, rng.uniform(0, 1, 6))
-        with pytest.raises(ValueError, match="too large"):
-            gait_targets(net, trace, trace.output(), IncrementalConfig(gamma=1.0))
+        with pytest.raises(ValueError, match="gait needs gamma < 1"):
+            gait_targets(net, trace, trace.output(), 1.0)
+
+    def test_blend_precondition_holds_whatever_the_gains(self, rng):
+        # Every pre-activation is negative, so every gain is the slope and
+        # every blend is gamma * 1e-4; gamma = 1 is still refused, since a
+        # gain of 1 would make the blend 1.
+        eye = np.eye(6)
+        net = net_from_weights([-eye, eye, eye], 6)
+        trace = forward(net, rng.uniform(0.5, 1, 6))
+        assert all(np.all(g == 0.01) for g in trace.gains)
+        with pytest.raises(ValueError, match="gait needs gamma < 1"):
+            gait_targets(net, trace, trace.output(), 1.0)
 
     def test_purity(self, rng):
         net = make_net([7, 7], 3, seed=11)
         trace = forward(net, rng.uniform(0, 1, 7))
         t = trace.output() + 0.5
-        a = gait_targets(net, trace, t, CFG)
-        b = gait_targets(net, trace, t, CFG)
+        a = gait_targets(net, trace, t, GAMMA)
+        b = gait_targets(net, trace, t, GAMMA)
         for ga, gb in zip(a.gaps, b.gaps):
             assert np.array_equal(ga, gb)
 
@@ -296,7 +319,7 @@ class TestGaitBpEquivalence:
             x = rng.uniform(0, 1, 16)
             trace = forward(net, x)
             t = trace.output()[:, 0] + rng.normal(0, 0.5, 10)
-            stack = gait_targets(net, trace, t, CFG)
+            stack = gait_targets(net, trace, t, GAMMA)
             if int(stack.sign_flips[0]) != 0:
                 continue
             checked += 1
@@ -317,7 +340,7 @@ class TestGaitBpEquivalence:
         net = make_net([256] * 5, 10, seed=seed)
         trace = forward(net, rng.uniform(0, 1, (256, 8)))
         t = trace.output() + rng.normal(0, 0.5, (10, 8))
-        stack = gait_targets(net, trace, t, CFG)
+        stack = gait_targets(net, trace, t, GAMMA)
         assert np.all(stack.sign_flips == 0)
         bp = bp_updates(net, trace, t)
         gait = gait_updates(trace, stack)
@@ -330,7 +353,7 @@ class TestGaitBpEquivalence:
         trace = forward(net, rng.uniform(0, 1, 10))
         t = rng.standard_normal(6)
         bp = bp_updates(net, trace, t)
-        gait = gait_updates(trace, gait_targets(net, trace, t, CFG))
+        gait = gait_updates(trace, gait_targets(net, trace, t, GAMMA))
         assert np.abs(bp[0] - gait[0]).max() < 1e-15
 
     def test_cosine_above_threshold_across_samples(self, rng):
@@ -339,7 +362,7 @@ class TestGaitBpEquivalence:
         trace = forward(net, xs)
         ts = trace.output() + rng.normal(0, 0.5, (10, 100))
         bp = bp_updates(net, trace, ts)
-        gait = gait_updates(trace, gait_targets(net, trace, ts, CFG))
+        gait = gait_updates(trace, gait_targets(net, trace, ts, GAMMA))
         for l in range(net.depth):
             a, b = gait[l].ravel(), bp[l].ravel()
             cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
@@ -348,7 +371,7 @@ class TestGaitBpEquivalence:
     def test_zero_updates_at_fixed_point(self, rng):
         net = make_net([8, 8], 4, seed=14)
         trace = forward(net, rng.uniform(0, 1, 8))
-        stack = gait_targets(net, trace, trace.output(), CFG)
+        stack = gait_targets(net, trace, trace.output(), GAMMA)
         for d in gait_updates(trace, stack):
             assert np.abs(d).max() < 1e-9
 
@@ -363,9 +386,9 @@ class TestAuxiliaryFreeze:
         if flavor == "tp":
             upd = tp_updates(trace, tp_targets(net, trace, ts))
         elif flavor == "itp":
-            upd = itp_updates(trace, itp_targets(net, trace, ts, CFG))
+            upd = itp_updates(trace, itp_targets(net, trace, ts, GAMMA))
         else:
-            upd = gait_updates(trace, gait_targets(net, trace, ts, CFG))
+            upd = gait_updates(trace, gait_targets(net, trace, ts, GAMMA))
         for l, layer in enumerate(net.layers):
             aux_rows = upd[l][layer.forward_width:]
             assert np.all(aux_rows == 0.0)
@@ -498,7 +521,7 @@ class TestCorrectionMatrices:
         net = linear_net(8, 3, rng, orthogonal=True)
         trace = forward(net, rng.standard_normal(8))
         for l in range(net.depth):
-            m = correction_matrices(net, trace, l, CFG)
+            m = correction_matrices(net, trace, l)
             assert np.abs(m.itp - np.eye(8)).max() < 1e-10
             assert np.abs(m.gait - np.eye(8)).max() < 1e-10
 
@@ -507,7 +530,7 @@ class TestCorrectionMatrices:
         trace = forward(net, rng.standard_normal(6))
         for l in range(net.depth):
             f = update_chain_f(net, l)
-            m = correction_matrices(net, trace, l, CFG)
+            m = correction_matrices(net, trace, l)
             assert np.abs(m.itp - f.T @ f).max() < 1e-12
             assert np.abs(m.gait - f.T @ f).max() < 1e-12
 
@@ -516,27 +539,21 @@ class TestCorrectionMatrices:
         x = rng.uniform(0, 1, 10)
         trace = forward(net, x)
         for l in range(net.depth - 1):
-            m = correction_matrices(net, trace, l, CFG)
+            m = correction_matrices(net, trace, l)
             assert np.abs(m.gait - np.eye(10)).max() < 1e-10
             assert np.abs(m.itp - np.eye(10)).max() > 0.1
-
-    def test_scale_reported_separately(self, rng):
-        net = make_net([6] * 3, 6, seed=18)
-        trace = forward(net, rng.uniform(0, 1, 6))
-        m = correction_matrices(net, trace, 0, CFG)
-        assert m.scale == pytest.approx(CFG.gamma ** -2)
 
     def test_requires_single_sample(self, rng):
         net = make_net([6] * 3, 6, seed=18)
         trace = forward(net, rng.uniform(0, 1, (6, 2)))
         with pytest.raises(ValueError, match="per sample"):
-            correction_matrices(net, trace, 0, CFG)
+            correction_matrices(net, trace, 0)
 
     def test_rejects_hidden_auxiliaries(self, rng):
         net = make_net([8, 6, 4], 3, seed=19)
         trace = forward(net, rng.uniform(0, 1, 8))
         with pytest.raises(ValueError, match="auxiliary-free"):
-            correction_matrices(net, trace, 0, CFG)
+            correction_matrices(net, trace, 0)
 
     def test_corrected_gait_matches_bp_without_flips(self, rng):
         # With no kink crossings the relation is exact up to roundoff even
@@ -546,12 +563,12 @@ class TestCorrectionMatrices:
         x = sample_away_from_kinks(net, rng, margin=1e-2)
         trace = forward(net, x)
         t = trace.output()[:, 0] + rng.normal(0, 0.2, 10)
-        stack = gait_targets(net, trace, t, CFG)
+        stack = gait_targets(net, trace, t, GAMMA)
         assert int(stack.sign_flips[0]) == 0
         bp = bp_updates(net, trace, t)
         gait = gait_updates(trace, stack)
         for l in range(net.depth - 1):
-            n_mat = correction_matrices(net, trace, l, CFG).gait
+            n_mat = correction_matrices(net, trace, l).gait
             lhs = n_mat @ gait[l]
             rel = np.linalg.norm(lhs - bp[l]) / np.linalg.norm(bp[l])
             assert rel < 1e-10
@@ -562,18 +579,17 @@ class TestCorrectionMatrices:
         instances, x, pins = crafted_kink_family(seed=300)
 
         def mean_deviation(gamma):
-            cfg = IncrementalConfig(gamma=gamma)
             total = 0.0
             for (net, t), pin in zip(instances, pins):
                 trace = forward(net, x)
-                stack = gait_targets(net, trace, t, cfg)
+                stack = gait_targets(net, trace, t, gamma)
                 # the pinned unit flips exactly when the blend passes it
                 assert int(stack.sign_flips[0]) == (1 if pin < gamma else 0)
                 gait = gait_updates(trace, stack)
                 bp = bp_updates(net, trace, t)
                 worst = 0.0
                 for l in range(net.depth - 1):
-                    n_mat = correction_matrices(net, trace, l, cfg).gait
+                    n_mat = correction_matrices(net, trace, l).gait
                     rel = np.linalg.norm(n_mat @ gait[l] - bp[l]) \
                         / np.linalg.norm(bp[l])
                     worst = max(worst, rel)
