@@ -1,6 +1,6 @@
 """Learning rules: backprop, target propagation, and incremental variants.
 
-All rules are pure functions of (network, trace, output target, config) and
+All rules are pure functions of (network, trace, output target, gamma) and
 return a list of per-layer weight updates, one array per layer, that already
 point in the descent direction; the optimizer applies the learning rate.
 
