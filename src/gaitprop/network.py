@@ -64,9 +64,12 @@ class Activation:
 class Layer:
     """Square invertible layer with a forward/auxiliary unit split.
 
-    The weight inverse is computed lazily and cached; assigning to
-    ``weight`` drops the cache. Singularity is only detected when an
-    inversion is actually requested.
+    The refined inverse ``weight_inv`` is computed lazily and cached;
+    assigning to ``weight`` drops the cache. The target rules read it for
+    layers narrower than ``linalg.SOLVE_WIDTH`` and solve with ``weight``
+    (``linalg.solve``) on wider ones. Assigning a weight checks only that it
+    is finite and square: singularity is detected when the layer is inverted
+    or solved with, exactly by ``invert`` and from the batch by ``solve``.
     """
 
     def __init__(self, weight: np.ndarray, activation: Activation, forward_width: int):

@@ -14,6 +14,8 @@ Every rule is one backward recursion ``e_{l-1} = P_l(e_l)`` from
   displacement of ``pad(blend_l * .)``, with blend 1 (tp), gamma (itp) or
   gamma * g^2 (gait), and ``s_l = gamma^-(top - l)`` for itp and gait
   (1 for tp), which restores bp's update magnitudes layer by layer.
+  ``W^-1`` is applied as the layer's cached refined inverse below
+  ``linalg.SOLVE_WIDTH`` and as ``linalg.solve`` from there up.
 
 For the target rules ``e_l`` is the gap (forward activation minus target).
 Computing gaps directly matters: a gap at the deepest layer of a
@@ -182,6 +184,8 @@ def _target_stack(
                 trace.activations[l], disp, layer.activation.slope
             )
             flips[:] += crossed.sum(axis=-2)
+        if layer.total_width >= linalg.SOLVE_WIDTH:
+            return linalg.solve(layer.weight, v)
         return layer.weight_inv @ v
 
     gaps = _backward(trace, t_out, propagate)

@@ -351,6 +351,39 @@ class TestLockstep:
         for (eta, lam), cell in got.items():
             assert cell == standalone(base, etas, lambdas, eta, lam)
 
+    def test_singular_wide_cell_fails_with_its_own_text(self, groups, monkeypatch):
+        # A 64x3 fixed net: both inverted layers are linalg.SOLVE_WIDTH wide,
+        # so its target steps solve instead of inverting.
+        base = replace(TINY, rule="gait", arch="fixed", width=64, depth=3)
+        etas, lambdas = [1e-3, 1e-4], [0.0, 0.1]
+        pivot, tiny_row, kappa = (_derived_seed(base.seed, *cell)
+                                  for cell in ((0, 1), (1, 0), (1, 1)))
+        build = harness.build_from_config
+
+        def broken(cfg):
+            net = build(cfg)
+            w = net.layers[1].weight.copy()
+            if cfg.seed == pivot:  # a zero row: an exact zero pivot
+                w[1] = 0.0
+            if cfg.seed == kappa:  # condition 1e14, in the deepest inverted layer
+                w = w @ np.diag(np.geomspace(1.0, 1e-14, 64))
+            net.layers[1].weight = w
+            if cfg.seed == tiny_row:  # the top layer, solved first
+                w = net.layers[2].weight.copy()
+                w[0] *= 1e-300
+                net.layers[2].weight = w
+            return net
+
+        monkeypatch.setattr(harness, "build_from_config", broken)
+        got = sweep(base, etas, lambdas)
+        assert groups == [4] + [1] * 4
+        assert got[(1e-3, 0.1)].startswith("SingularMatrix: exact zero pivot")
+        for cell in ((1e-4, 0.0), (1e-4, 0.1)):
+            assert got[cell].startswith("SingularMatrix: reciprocal condition number at most")
+        assert isinstance(got[(1e-3, 0.0)], dict)
+        for (eta, lam), cell in got.items():
+            assert cell == standalone(base, etas, lambdas, eta, lam)
+
     @pytest.mark.parametrize("budget,sizes", [(2.5, [2, 2, 2]), (0.9, [1] * 6)])
     def test_groups_fill_the_budget(self, budget, sizes, groups, monkeypatch):
         trained = []

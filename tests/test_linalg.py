@@ -16,6 +16,7 @@ from gaitprop.linalg import (
     make_rng,
     orthogonal_init,
     orthogonality_error,
+    solve,
     split_rng,
     xavier_init,
 )
@@ -126,6 +127,119 @@ class TestInvert:
             m = controlled_matrix(10, r, 0.01, 1.0)  # condition <= 1e2
             back = invert(invert(m))
             assert np.abs(back - m).max() / np.abs(m).max() < 1e-8
+
+
+def refined_reference(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``w^-1 v`` refined three times with residuals formed in longdouble,
+    independent of ``solve``'s correction and of ``invert``."""
+    wl = w.astype(np.longdouble)
+    x = np.linalg.solve(w, v).astype(np.longdouble)
+    for _ in range(3):
+        x += np.linalg.solve(w, (v - wl @ x).astype(np.float64))
+    return x
+
+
+def weight_class(name: str, n: int, seed: int) -> np.ndarray:
+    r = make_rng(seed)
+    if name == "xavier":
+        return xavier_init(n, n, r)
+    noise = {"orthogonal": 0.0, "orthogonal+0.003": 0.003, "orthogonal+0.03": 0.03}[name]
+    return orthogonal_init(n, r) + noise * r.standard_normal((n, n))
+
+
+class TestSolve:
+    """``solve`` (one LU solve and a ``W^T`` correction) on the widths where
+    the target rules use it, ``SOLVE_WIDTH`` (64) and up."""
+
+    BATCH = make_rng(11).standard_normal((256, 64))
+
+    def batch(self, n: int) -> np.ndarray:
+        return self.BATCH[:n].copy()
+
+    # Worst max-relative error over seeds 0-3 and n = 64, 256 against
+    # refined_reference, with invert(w) @ v in brackets: orthogonal 7.1e-16
+    # (1.3e-15), +0.003 N(0,1) 9.3e-16 (1.3e-15), +0.03 N(0,1) 5.2e-15
+    # (1.4e-15), xavier 3.7e-13 (8.7e-14). Each bound is 2.7-4x the worst.
+    # Trained weights stay within the +0.003 class or a little beyond;
+    # xavier is the lam = 0 pairing, where W^T is a poor inverse and the
+    # result has one-solve accuracy.
+    @pytest.mark.parametrize("name,bound", [
+        ("orthogonal", 2.5e-15), ("orthogonal+0.003", 2.5e-15),
+        ("orthogonal+0.03", 2e-14), ("xavier", 1.5e-12),
+    ])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_accuracy_by_weight_class(self, name, bound, n):
+        for seed in range(4):
+            w, v = weight_class(name, n, seed), self.batch(n)
+            ref = refined_reference(w, v)
+            err = np.abs(solve(w, v) - ref).max() / np.abs(ref).max()
+            assert err <= bound, (seed, err)
+
+    def test_stack_gives_each_member_its_own_bytes(self):
+        r = make_rng(4)
+        w = np.stack([controlled_matrix(64, r) for _ in range(3)])
+        v = r.standard_normal((3, 64, 16))
+        got = solve(w, v)
+        for c in range(3):
+            assert got[c].tobytes() == solve(w[c].copy(), v[c].copy()).tobytes()
+
+    def test_zero_pivot_has_invert_text(self):
+        with pytest.raises(SingularMatrix, match="exact zero pivot") as caught:
+            solve(np.ones((64, 64)), self.batch(64))
+        with pytest.raises(SingularMatrix) as inverted:
+            invert(np.ones((64, 64)))
+        assert str(caught.value) == str(inverted.value)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_condition_1e14_is_singular(self, n, seed):
+        with pytest.raises(SingularMatrix, match="reciprocal condition number at most"):
+            solve(conditioned(1e14, seed, n), self.batch(n))
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_condition_1e10_is_accepted_as_by_invert(self, n, seed):
+        w = conditioned(1e10, seed, n)
+        assert np.all(np.isfinite(invert(w)))
+        assert np.all(np.isfinite(solve(w, self.batch(n))))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_row_is_singular_without_warning(self):
+        w = orthogonal_init(64, make_rng(5))
+        w[0] *= 1e-300
+        with pytest.raises(SingularMatrix,
+                           match=r"reciprocal condition number at most \S+e-30\d below 1e-12"):
+            solve(w, self.batch(64))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_solution_is_singular(self):
+        w = orthogonal_init(64, make_rng(6))
+        w[0] *= 1e-10
+        with pytest.raises(SingularMatrix, match="non-finite solution"):
+            solve(w, 1e300 * self.batch(64))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stack_reports_its_worst_member(self):
+        members = []
+        for scale in (1.0, 1e-20, 1e-300, 1e-15):
+            w = orthogonal_init(64, make_rng(7))
+            w[3] *= scale
+            members.append(w)
+        v = np.stack([self.batch(64)] * 4)
+        with pytest.raises(SingularMatrix, match="at most") as caught:
+            solve(np.stack(members), v)
+        with pytest.raises(SingularMatrix) as alone:
+            solve(members[2], v[2].copy())
+        assert str(caught.value) == str(alone.value)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_columns_prove_nothing(self):
+        w = conditioned(1e14, 0, 64)
+        assert not solve(w, np.zeros((64, 8))).any()
+        v = self.batch(64)[:, :8]
+        v[:, 2] = 0.0
+        x = solve(orthogonal_init(64, make_rng(8)), v)
+        assert not x[:, 2].any() and np.isfinite(x).all()
 
 
 def test_training_loads_no_scipy():
