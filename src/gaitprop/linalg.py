@@ -10,14 +10,16 @@ independent of the order in which they are drawn.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # 1-norm reciprocal condition number below which a matrix is treated as singular.
 SINGULAR_RCOND = 1e-12
-# Width from which ``solve`` is at least as fast as applying the refined
-# ``invert``: per layer at batch 64, one matrix or a 12-cell stack, the two
-# are at parity at 64, ``invert`` wins below and ``solve`` above (README).
-SOLVE_WIDTH = 64
+# Width from which ``solve`` is faster than applying the refined ``invert``:
+# per layer at batch 64, one matrix or a 12-cell stack, ``invert`` wins up
+# to 64, the two are within noise at 80, and ``solve`` wins from 96 (README).
+SOLVE_WIDTH = 96
 
 
 class SingularMatrix(Exception):
@@ -86,6 +88,16 @@ def invert(m: np.ndarray) -> np.ndarray:
     return inv
 
 
+@functools.cache
+def _probe(n: int) -> np.ndarray:
+    """A fixed Gaussian column of height n, read-only. No coordinate of it
+    is zero, and only a direction built against these very draws is
+    orthogonal to it."""
+    p = make_rng(0).standard_normal((n, 1))
+    p.flags.writeable = False
+    return p
+
+
 def solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``m^-1 v`` for a near-orthogonal ``m``, without forming the inverse:
     one LU solve, then one correction ``x += m^T (v - m x)``, in which
@@ -96,32 +108,38 @@ def solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     be a stack ``(cells, n, n)`` with ``v`` ``(cells, n, b)``, and each
     member then gets the bytes of its own call. ``SingularMatrix`` is raised
     on an exact zero pivot (``invert``'s text), on a non-finite solution, and
-    when the batch itself proves the condition too poor: since
+    when the solved columns prove the condition too poor: since
     ``|x_j|_1 <= |m^-1|_1 |v_j|_1`` for every column,
     ``rcond <= 1 / (|m|_1 max_j |x_j|_1 / |v_j|_1)`` over the columns with
     ``v_j != 0``, and a bound below ``SINGULAR_RCOND`` raises, with the worst
-    member's bound for a stack. The exact rcond never exceeds the bound, so
+    member's bound for a stack. The columns are those of ``v`` and one
+    fixed probe column (``_probe``) solved with them, so the bound sees
+    every coordinate even where ``v`` has zero rows, as the auxiliary rows
+    of a target gap do. The exact rcond never exceeds the bound, so
     ``solve`` never rejects a matrix that ``invert`` accepts; it misses
-    those whose batch does not excite the near-null direction enough (see
-    README). A batch of zero columns bounds nothing.
+    some that ``invert`` rejects, by up to a factor of about 20 in the
+    condition (see README).
     """
+    b = v.shape[-1]
+    rhs = np.concatenate(
+        [v, np.broadcast_to(_probe(m.shape[-1]), v.shape[:-1] + (1,))], axis=-1)
     try:
-        x = np.linalg.solve(m, v)
+        x = np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError:
         raise SingularMatrix("exact zero pivot in the LU factorization") from None
     with np.errstate(all="ignore"):  # overflow is reported as singularity below
-        x += m.mT @ (v - m @ x)
+        x += m.mT @ (rhs - m @ x)
         x_norms = np.abs(x).sum(axis=-2)
         if not np.isfinite(x_norms).all():
             raise SingularMatrix("non-finite solution of a linear system")
-        v_norms = np.abs(v).sum(axis=-2)
-        growth = np.where(v_norms > 0, x_norms / v_norms, 0.0).max(axis=-1, initial=0.0)
+        v_norms = np.abs(rhs).sum(axis=-2)
+        growth = np.where(v_norms > 0, x_norms / v_norms, 0.0).max(axis=-1)
         bound = np.min(1.0 / (np.abs(m).sum(axis=-2).max(axis=-1) * growth))
     if not bound >= SINGULAR_RCOND:
         raise SingularMatrix(
             f"reciprocal condition number at most {bound:.3e} below {SINGULAR_RCOND:.0e}"
         )
-    return x
+    return x[..., :b]
 
 
 def orthogonal_init(n: int, rng: np.random.Generator) -> np.ndarray:

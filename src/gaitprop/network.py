@@ -69,7 +69,8 @@ class Layer:
     layers narrower than ``linalg.SOLVE_WIDTH`` and solve with ``weight``
     (``linalg.solve``) on wider ones. Assigning a weight checks only that it
     is finite and square: singularity is detected when the layer is inverted
-    or solved with, exactly by ``invert`` and from the batch by ``solve``.
+    or solved with, exactly by ``invert`` and from the batch and a probe
+    column by ``solve``.
     """
 
     def __init__(self, weight: np.ndarray, activation: Activation, forward_width: int):

@@ -2,8 +2,8 @@
 widths 2-64 (so auxiliary units), any class count the last layer holds,
 leaky slope 0.01-0.9, gamma 1e-6 to 1e-2 and batches of 1-8, at orthogonal
 init, where gait's updates equal bp's (PAPER.md, arXiv 2006.06438). Fixed
-nets from 64 to 784 wide cover the target rules' solve path, which starts
-at ``linalg.SOLVE_WIDTH``; the random widths rarely reach it."""
+nets from 96 to 784 wide cover the target rules' solve path, which starts
+at ``linalg.SOLVE_WIDTH``; the random widths, 64 at most, never reach it."""
 
 import numpy as np
 import pytest
@@ -99,7 +99,7 @@ def test_theorems_hold_across_shapes(problem, tmp_path):
 @pytest.mark.parametrize("widths, classes, batch", [
     ([784, 784], 10, 4),
     ([784, 392, 196], 10, 3),
-    ([64, 64, 64], 10, 8),
+    ([96, 96, 96], 10, 8),
     ([128, 96, 48, 32], 10, 8),  # solves at 96, inverts at 48 and 32
 ])
 def test_theorems_hold_at_paper_width(widths, classes, batch, tmp_path):

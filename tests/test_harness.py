@@ -352,9 +352,9 @@ class TestLockstep:
             assert cell == standalone(base, etas, lambdas, eta, lam)
 
     def test_singular_wide_cell_fails_with_its_own_text(self, groups, monkeypatch):
-        # A 64x3 fixed net: both inverted layers are linalg.SOLVE_WIDTH wide,
+        # A 96x3 fixed net: both inverted layers are linalg.SOLVE_WIDTH wide,
         # so its target steps solve instead of inverting.
-        base = replace(TINY, rule="gait", arch="fixed", width=64, depth=3)
+        base = replace(TINY, rule="gait", arch="fixed", width=96, depth=3)
         etas, lambdas = [1e-3, 1e-4], [0.0, 0.1]
         pivot, tiny_row, kappa = (_derived_seed(base.seed, *cell)
                                   for cell in ((0, 1), (1, 0), (1, 1)))
@@ -366,11 +366,11 @@ class TestLockstep:
             if cfg.seed == pivot:  # a zero row: an exact zero pivot
                 w[1] = 0.0
             if cfg.seed == kappa:  # condition 1e14, in the deepest inverted layer
-                w = w @ np.diag(np.geomspace(1.0, 1e-14, 64))
+                w = w @ np.diag(np.geomspace(1.0, 1e-14, 96))
             net.layers[1].weight = w
-            if cfg.seed == tiny_row:  # the top layer, solved first
-                w = net.layers[2].weight.copy()
-                w[0] *= 1e-300
+            if cfg.seed == tiny_row:  # an auxiliary row of the top layer, solved first:
+                w = net.layers[2].weight.copy()  # its gap rows there are all zero
+                w[-1] *= 1e-300
                 net.layers[2].weight = w
             return net
 

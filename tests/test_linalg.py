@@ -148,8 +148,8 @@ def weight_class(name: str, n: int, seed: int) -> np.ndarray:
 
 
 class TestSolve:
-    """``solve`` (one LU solve and a ``W^T`` correction) on the widths where
-    the target rules use it, ``SOLVE_WIDTH`` (64) and up."""
+    """``solve`` (one LU solve and a ``W^T`` correction) at 64 and 256 wide;
+    the target rules use it from ``SOLVE_WIDTH`` (96) up."""
 
     BATCH = make_rng(11).standard_normal((256, 64))
 
@@ -233,13 +233,31 @@ class TestSolve:
         assert str(caught.value) == str(alone.value)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_zero_columns_prove_nothing(self):
-        w = conditioned(1e14, 0, 64)
-        assert not solve(w, np.zeros((64, 8))).any()
+    @pytest.mark.parametrize("forward", [64, 32, 10])
+    def test_singular_auxiliary_rows_are_caught_by_the_probe(self, forward):
+        # A target gap is zero on a layer's auxiliary rows (from `forward`
+        # on), so the batch alone never sees a near-null direction there.
+        v = self.batch(64)
+        v[forward:] = 0.0
+        tiny = orthogonal_init(64, make_rng(9))
+        tiny[-1] *= 1e-300
+        twins = orthogonal_init(64, make_rng(10))
+        twins[-1] = twins[-2] + 1e-15 * twins[0]
+        for w in (tiny, twins):
+            with pytest.raises(SingularMatrix,
+                               match="reciprocal condition number at most"):
+                solve(w, v)
+            with pytest.raises(SingularMatrix):
+                invert(w)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_columns_solve_to_zero_and_the_probe_still_bounds(self):
         v = self.batch(64)[:, :8]
         v[:, 2] = 0.0
         x = solve(orthogonal_init(64, make_rng(8)), v)
         assert not x[:, 2].any() and np.isfinite(x).all()
+        with pytest.raises(SingularMatrix, match="reciprocal condition number at most"):
+            solve(conditioned(1e14, 0, 64), np.zeros((64, 8)))
 
 
 def test_training_loads_no_scipy():
