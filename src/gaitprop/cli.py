@@ -135,12 +135,13 @@ def _cmd_datagen(args) -> int:
         raise ConfigError("n_in must be a positive perfect square to emit IDX images")
     if min(args.train, args.test) < 0:
         raise ConfigError("--train and --test must be >= 0")
+    if args.classes > 256:
+        raise ConfigError("--classes must be at most 256: an IDX label is one byte")
     try:  # the teacher and the seed are checked before anything is drawn
         pixels, labels = synthetic_teacher_quantized(
             args.n_in, args.depth, args.classes, args.train + args.test, args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    labels = labels.astype(np.uint8)
     splits = {"train": slice(0, args.train), "test": slice(args.train, None)}
     for name, sl in splits.items():
         imgs = pixels[sl].reshape(-1, side, side)
@@ -152,6 +153,8 @@ def _cmd_datagen(args) -> int:
     return 0
 
 
+# A stored weight near float64's limit reports a norm of inf, not a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_inspect(args) -> int:
     net = load_checkpoint(args.checkpoint)
     print(f"layers: {net.depth}, input width: {net.input_width}, "
@@ -221,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        files.make_dir(getattr(args, "out", ""))
+        if hasattr(args, "out"):  # checkpoint-inspect writes nothing
+            files.make_dir(args.out)
+            files.check_writable(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)

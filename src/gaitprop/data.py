@@ -97,7 +97,11 @@ def load_idx(images_path, labels_path, n_classes: int = 10) -> Dataset:
 
 
 def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:
-    """Write uint8 images (n, rows, cols) and labels (n,) as an IDX pair."""
+    """Write images (n, rows, cols) and labels (n,) as an IDX pair of bytes.
+    ValueError for an entry outside [0, 255], which one byte cannot hold."""
+    for name, a in (("images", np.asarray(images)), ("labels", np.asarray(labels))):
+        if a.size and not (a.min() >= 0 and a.max() <= 255):
+            raise ValueError(f"{name} must lie in [0, 255], got {a.min()}..{a.max()}")
     images = np.ascontiguousarray(images, dtype=np.uint8)
     labels = np.ascontiguousarray(labels, dtype=np.uint8)
     if images.ndim != 3:

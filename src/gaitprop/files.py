@@ -12,6 +12,7 @@ import contextlib
 import csv
 import io
 import os
+import tempfile
 
 
 def make_dir(path) -> None:
@@ -19,6 +20,12 @@ def make_dir(path) -> None:
     directory. Raises OSError when a component is not a directory."""
     if os.fspath(path):
         os.makedirs(path, exist_ok=True)
+
+
+def check_writable(path) -> None:
+    """Raise OSError unless directory ``path`` ('' is the working directory)
+    takes a new file, so a run fails before its work, not at its first write."""
+    tempfile.TemporaryFile(dir=os.fspath(path) or ".").close()
 
 
 def write_bytes(path, data: bytes) -> None:

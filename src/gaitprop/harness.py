@@ -334,6 +334,7 @@ def _train_cells(cfgs: list[ExperimentConfig],
     base = cfgs[0]
     if base.save_checkpoint:  # a run of one cell: gridsearch rejects checkpoints
         files.make_dir(os.path.dirname(base.save_checkpoint))
+        files.check_writable(os.path.dirname(base.save_checkpoint))
     started = time.perf_counter()
     train_ds, test_ds = _load_datasets(base) if data is None else data
     nets = [build_from_config(cfg) for cfg in cfgs]

@@ -7,7 +7,8 @@ point in the descent direction; the optimizer applies the learning rate.
 Every rule is one backward recursion ``e_{l-1} = P_l(e_l)`` from
 ``e = output - target``, followed by one local update
 ``dW_l = -s_l (g_l * pad(e_l)) x_l^T / n``. Only the propagation operator
-``P_l`` and the scale ``s_l`` differ:
+``P_l`` and the scale ``s_l`` differ, so the target rules share one
+``target_updates``, which takes ``s_l`` from the stack:
 
 * bp: ``P_l = W^T (g * pad(.))``, ``s_l = 1``;
 * tp, itp, gait: ``P_l = W^-1`` after the exact inverse-activation
@@ -41,17 +42,17 @@ from .network import ForwardTrace, Network, _as_columns
 
 @dataclass
 class TargetStack:
-    """Per-layer gaps (forward activation minus target) of one target rule.
+    """Per-layer gaps (forward activation minus target), whichever rule built them.
 
     ``gaps`` is the numerically primary representation (see module
     docstring); a layer's target is ``trace.forward_part(l) - gaps[l]``.
     ``sign_flips`` counts, per sample, how many units crossed the leaky-ReLU
     kink while blending; zero means the piecewise-linear inversion was exact
-    for that sample. ``gamma`` is the base of the rule's update scale
-    ``s_l = gamma^-(top - l)``: 1.0 for tp, the blend factor for itp and gait.
+    for that sample. ``gamma`` is the base of the update scale
+    ``s_l = gamma^-(top - l)`` that ``target_updates`` applies: 1.0 for tp,
+    the blend factor for itp and gait.
     """
 
-    flavor: str
     gamma: float
     gaps: list[np.ndarray]
     sign_flips: np.ndarray
@@ -163,10 +164,8 @@ def _inverse_displacement(act: np.ndarray, disp: np.ndarray, slope: float):
     return v, crossed
 
 
-def _target_stack(
-    net: Network, trace: ForwardTrace, t_out: np.ndarray, blend, flavor: str,
-    gamma: float,
-) -> TargetStack:
+def _target_stack(net: Network, trace: ForwardTrace, t_out: np.ndarray, blend,
+                  gamma: float) -> TargetStack:
     """Gap recursion of the target rules: layer l's activation moves
     ``blend(l) * gap`` toward its target (auxiliary units stay put) and the
     exact pre-image of that displacement is the next gap. A gamma without a
@@ -189,13 +188,13 @@ def _target_stack(
         return layer.weight_inv @ v
 
     gaps = _backward(trace, t_out, propagate)
-    return TargetStack(flavor=flavor, gamma=gamma, gaps=gaps, sign_flips=flips)
+    return TargetStack(gamma=gamma, gaps=gaps, sign_flips=flips)
 
 
 def tp_targets(net: Network, trace: ForwardTrace, t_out: np.ndarray) -> TargetStack:
     """Layer-wise targets from exact inversion of the output target: the
     gap recursion with the whole gap blended in at every layer."""
-    return _target_stack(net, trace, t_out, lambda l: 1.0, "tp", 1.0)
+    return _target_stack(net, trace, t_out, lambda l: 1.0, 1.0)
 
 
 def itp_targets(
@@ -203,7 +202,7 @@ def itp_targets(
 ) -> TargetStack:
     """Incremental targets: blend a fixed fraction gamma toward the target
     before each inversion. gamma = 1 degenerates to plain target propagation."""
-    return _target_stack(net, trace, t_out, lambda l: gamma, "itp", gamma)
+    return _target_stack(net, trace, t_out, lambda l: gamma, gamma)
 
 
 def gait_targets(
@@ -215,36 +214,19 @@ def gait_targets(
     a linear gain is 1), so no blend exceeds gamma."""
     if not gamma < 1.0:
         raise ValueError(f"gait needs gamma < 1 (its blend is gamma * gain^2), got {gamma}")
-    return _target_stack(
-        net, trace, t_out,
-        lambda l: gamma * trace.gains[l][..., : trace.forward_widths[l], :] ** 2,
-        "gait", gamma)
+    blend = lambda l: gamma * trace.gains[l][..., : trace.forward_widths[l], :] ** 2
+    return _target_stack(net, trace, t_out, blend, gamma)
 
 
-def _target_updates(
-    trace: ForwardTrace, targets: TargetStack, flavor: str
-) -> list[np.ndarray]:
-    if targets.flavor != flavor:
-        raise ValueError(f"expected {flavor} targets, got {targets.flavor!r}")
-    return _local_updates(trace, targets.gaps, targets.gamma)
+def target_updates(trace: ForwardTrace, stack: TargetStack) -> list[np.ndarray]:
+    """Local delta-rule updates toward any rule's targets, scaled by the stack's
+    own gamma to match bp's magnitudes; auxiliary rows stay exactly zero, and
+    with orthogonal weights and no kink crossings gait's equal bp_updates."""
+    return _local_updates(trace, stack.gaps, stack.gamma)
 
 
-def tp_updates(trace: ForwardTrace, targets: TargetStack) -> list[np.ndarray]:
-    """Local delta-rule updates toward propagated targets; auxiliary rows
-    stay exactly zero because auxiliary targets equal the forward pass."""
-    return _target_updates(trace, targets, "tp")
-
-
-def itp_updates(trace: ForwardTrace, targets: TargetStack) -> list[np.ndarray]:
-    """Updates from incremental targets, rescaled by the stack's own
-    gamma^-(depth-1-l) so magnitudes match backprop layer by layer."""
-    return _target_updates(trace, targets, "itp")
-
-
-def gait_updates(trace: ForwardTrace, targets: TargetStack) -> list[np.ndarray]:
-    """Updates from gradient-adjusted targets, rescaled as for itp_updates.
-    With orthogonal weights and no kink crossings these equal bp_updates."""
-    return _target_updates(trace, targets, "gait")
+# The names stay: harness (per call), TestRuleLookup and perfbench's RULE_PHASES read them
+tp_updates = itp_updates = gait_updates = target_updates
 
 
 def _check_lambda(lam: float) -> None:

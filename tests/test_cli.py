@@ -1,11 +1,12 @@
 import csv
 import json
 import struct
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gaitprop import save_checkpoint
+from gaitprop import files, harness, save_checkpoint
 from gaitprop.cli import main
 
 from conftest import make_net
@@ -280,6 +281,9 @@ def test_inspect_bad_stored_value(case, tmp_path, capsys):
     # align runs gait whatever the rule, so gamma < 1 holds for every rule
     ["train", "--set", "rule=itp", "--set", "gamma=1", "--set", "width=16",
      "--set", "classes=4", "--set", "epochs=0"],
+    # an IDX label is one byte, so class 256 and up would wrap
+    ["datagen", "--n-in", "324", "--classes", "300", "--depth", "1", "--train", "400",
+     "--test", "0", "--seed", "3"],
 ])
 def test_config_mistakes_exit_2(argv, tmp_path, capsys):
     # An exception escaping main() fails this test, as a traceback on
@@ -312,6 +316,41 @@ def test_unwritable_output_fails_before_training(patched, argv, tmp_path,
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error[io]: ")
     assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--out", "{locked}"],
+    ["--out", "{tmp}/out", "--set", "save_checkpoint={locked}/net.ckpt"],
+], ids=["out", "checkpoint"])
+def test_read_only_directory_fails_before_training(argv, tmp_path, monkeypatch, capsys):
+    # Mode bits do not stop root, so the probe write of the locked directory
+    # fails as it would in a directory its user may not write.
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    real_probe = tempfile.TemporaryFile
+
+    def probe(*args, dir=None, **kwargs):
+        if dir == str(locked):
+            raise PermissionError(13, "Permission denied", dir)
+        return real_probe(*args, dir=dir, **kwargs)
+
+    # The checkpoint's check runs inside harness.train, before it loads data.
+    loaded = []
+    real_load = harness._load_datasets
+
+    def spy(cfg):
+        loaded.append(cfg)
+        return real_load(cfg)
+
+    monkeypatch.setattr(files.tempfile, "TemporaryFile", probe)
+    monkeypatch.setattr(harness, "_load_datasets", spy)
+    argv = [a.format(locked=locked, tmp=tmp_path) for a in argv]
+    code = main(["train"] + argv + DESK_ARGS)
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert lines == [f"error[io]: [Errno 13] Permission denied: '{locked}'"]
+    assert loaded == []
+    assert list(locked.iterdir()) == []
 
 
 @pytest.mark.parametrize("patched,argv", [
@@ -404,8 +443,12 @@ COMMANDS = st.one_of(
 @given(argv=COMMANDS)
 def test_every_input_honours_the_exit_contract(argv, tmp_path, capsys):
     # Every example writes into the same directory; later ones overwrite it.
+    _honours_exit_contract(argv + ["--out", str(tmp_path / "out")], capsys)
+
+
+def _honours_exit_contract(argv, capsys) -> None:
     capsys.readouterr()
-    code = main(argv + ["--out", str(tmp_path / "out")])
+    code = main(argv)
     lines = capsys.readouterr().err.splitlines()
     assert code in (0, 1, 2)
     if code == 0:
@@ -413,3 +456,52 @@ def test_every_input_honours_the_exit_contract(argv, tmp_path, capsys):
     else:
         assert len(lines) == 1 and lines[0].startswith("error[")
         assert (code == 2) == lines[0].startswith("error[config]: ")
+
+
+# Byte edits of a file: XOR a mask into one byte, or cut the file short.
+# Positions favour the first 32 bytes, where the headers are, and wrap
+# modulo the file's length, so every edit lands inside the file.
+POSITIONS = st.one_of(st.integers(0, 31), st.integers(0, 2**16))
+EDITS = st.lists(st.one_of(st.tuples(st.just("flip"), POSITIONS, st.integers(1, 255)),
+                           st.tuples(st.just("cut"), POSITIONS, st.just(0))),
+                 min_size=1, max_size=3)
+IDX_FILES = [f"{split}-{kind}-idx{3 if kind == 'images' else 1}-ubyte"
+             for split in ("train", "test") for kind in ("images", "labels")]
+
+
+def _edit(blob: bytes, edits) -> bytes:
+    out = bytearray(blob)
+    for kind, at, mask in edits:
+        if kind == "cut":
+            del out[at % (len(out) + 1):]
+        elif out:
+            out[at % len(out)] ^= mask
+    return bytes(out)
+
+
+# Not drawn here: ``arch=fixed`` with a depth near 1e9 passes the up-front
+# width checks and builds a widths tuple of about 8 GB before it fails.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(IDX_FILES), edits=EDITS)
+def test_mutated_idx_honours_the_exit_contract(name, edits, idx_args, tmp_path, capsys):
+    target = tmp_path / "data" / name
+    blob = target.read_bytes()
+    target.write_bytes(_edit(blob, edits))
+    try:
+        _honours_exit_contract(["train"] + idx_args + ["--out", str(tmp_path / "out")],
+                               capsys)
+    finally:
+        target.write_bytes(blob)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=EDITS)
+def test_mutated_checkpoint_honours_the_exit_contract(edits, tmp_path, capsys):
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(make_net([16] * 3, 4), ckpt)
+    ckpt.write_bytes(_edit(ckpt.read_bytes(), edits))
+    _honours_exit_contract(["checkpoint-inspect", str(ckpt)], capsys)

@@ -89,6 +89,17 @@ class TestIdxErrors:
         with pytest.raises(IdxError, match="trailing"):
             load_idx(noisy, lp)
 
+    @pytest.mark.parametrize("images, labels", [
+        (np.zeros((2, 4, 4)), np.array([3, 256])),
+        (np.full((2, 4, 4), -1), np.zeros(2)),
+        (np.full((2, 4, 4), np.nan), np.zeros(2)),
+    ], ids=["label_256", "pixel_minus_1", "pixel_nan"])
+    def test_write_rejects_values_past_a_byte(self, images, labels, tmp_path):
+        # a cast to uint8 would store label 256 as 0 and pixel -1 as 255
+        with pytest.raises(ValueError, match=r"must lie in \[0, 255\]"):
+            write_idx(images, labels, tmp_path / "imgs", tmp_path / "labels")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("dims", [(60000, 65536, 65536), (2**22,) * 3])
     def test_oversized_header(self, tmp_path, idx_pair, dims):
         # sized exactly (2**66 wraps to 0 in int64) and checked against the

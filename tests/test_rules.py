@@ -185,13 +185,6 @@ class TestTpUpdates:
         for dbp, dtp in zip(off, tp_off):
             assert np.abs(dbp).max() > 1e-8 and np.abs(dtp).max() > 1e-8
 
-    def test_flavor_check(self, rng):
-        net = make_net([5, 5], 3, seed=6)
-        trace = forward(net, rng.uniform(0, 1, 5))
-        stack = itp_targets(net, trace, trace.output(), GAMMA)
-        with pytest.raises(ValueError, match="tp targets"):
-            tp_updates(trace, stack)
-
 
 class TestTargetUpdates:
     @pytest.mark.parametrize("targets,updates", [(itp_targets, itp_updates),
