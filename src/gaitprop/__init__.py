@@ -31,13 +31,11 @@ from .rules import (  # noqa: F401
     bp_updates,
     correction_matrices,
     gait_targets,
-    gait_updates,
     itp_targets,
-    itp_updates,
     ortho_penalty,
     ortho_reg_grad,
+    target_updates,
     tp_targets,
-    tp_updates,
 )
 from .optim import AdamState, adam_step  # noqa: F401
 from .diagnostics import AlignmentReport, align, ortho_drift  # noqa: F401

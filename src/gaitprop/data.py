@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import files, linalg
-from .network import Activation, build_network, output
+from .network import Activation, build_network, check_size, output
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -144,6 +144,7 @@ def _teacher_draw(n_in: int, depth: int, n_classes: int, samples: int,
     """The frozen orthogonal leaky-ReLU teacher, seeded by the rng's first
     draw, and the uniform [0, 1] inputs drawn after it."""
     check_teacher(n_in, depth, n_classes, samples)
+    check_size([(n_in, depth)])  # before the depth-long widths list
     teacher = build_network([n_in] * depth, n_in, Activation("leaky_relu", 0.01),
                             "orthogonal", int(rng.integers(0, 2**63 - 1)))
     return teacher, rng.uniform(0.0, 1.0, size=(samples, n_in))

@@ -20,11 +20,14 @@ from . import __version__, files, linalg
 from .data import Dataset, batches, check_teacher, load_idx, one_hot_batch, synthetic_teacher
 from .diagnostics import AlignmentReport, align, ortho_drift
 from .dynamics import CircuitConfig, equilibria, simulate
-from .network import Activation, Layer, Network, build_network, check_widths, forward, \
-    output, save_checkpoint
+from .network import Activation, Layer, Network, build_network, check_size, check_widths, \
+    forward, output, save_checkpoint
 from .optim import AdamState, adam_step
-from .rules import bp_updates, gait_targets, gait_updates, itp_targets, itp_updates, \
-    ortho_reg_grad, tp_targets, tp_updates, update_scale
+from .rules import bp_updates, gait_targets, itp_targets, ortho_reg_grad, target_updates, \
+    tp_targets, update_scale
+
+# One update, one name per rule: rule_updates reads these per call, and perfbench times each
+tp_updates = itp_updates = gait_updates = target_updates
 
 RULES = ("bp", "tp", "itp", "gait")
 
@@ -90,10 +93,13 @@ class ExperimentConfig:
         if not 1 <= self.depth <= sys.maxsize:  # no widths tuple that long can exist
             raise ConfigError(f"depth must lie in [1, {sys.maxsize}], got {self.depth}")
         if self.arch == "fixed":
+            check_size([(self.width, self.depth)])
             return (self.width,) * self.depth
         if self.arch == "halving":  # width >> i reaches 0 after width.bit_length() layers
             head = tuple(max(self.width >> i, self.classes)
                          for i in range(min(self.depth, self.width.bit_length())))
+            check_size([(width, 1) for width in head]
+                       + [(self.classes, self.depth - len(head))])
             return head + (self.classes,) * (self.depth - len(head))
         raise ConfigError(f"unknown arch {self.arch!r}")
 
@@ -143,8 +149,8 @@ class ExperimentConfig:
         if not (0.0 < eta < np.inf and 0.0 <= lam < np.inf):
             raise ConfigError(f"eta must lie in (0, inf) and lam in [0, inf), "
                               f"got eta={eta}, lam={lam}")
-        widths = self.resolved_widths()
         try:  # each range that a library object enforces is checked by that object
+            widths = self.resolved_widths()
             update_scale(self.gamma, len(widths), 0)
             Activation(self.activation, self.alpha)
             check_widths(widths, self.classes)

@@ -4,8 +4,9 @@ orthogonality.
 Matrices are plain 2-D ``numpy.ndarray`` in float64; the weight routines
 also take a stack ``(cells, n, n)`` of them. Every routine that
 consumes randomness takes a ``numpy.random.Generator``; streams are built
-with the counter-based Philox engine so that per-layer child streams are
-independent of the order in which they are drawn.
+with the counter-based Philox engine, and per-layer child streams come from
+``Generator.spawn``, so they are independent of the order in which they are
+drawn.
 """
 
 from __future__ import annotations
@@ -31,11 +32,6 @@ def make_rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
-
-
-def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """n independent child streams, insensitive to consumption order."""
-    return list(rng.spawn(n))
 
 
 def as_matrix(values, stack: bool = False) -> np.ndarray:

@@ -19,6 +19,7 @@ it computes alone.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -135,9 +136,6 @@ class Network:
         """Width of the task-relevant (non-auxiliary) output."""
         return self.layers[-1].forward_width
 
-    def forward_widths(self) -> list[int]:
-        return [layer.forward_width for layer in self.layers]
-
 
 @dataclass
 class ForwardTrace:
@@ -165,9 +163,6 @@ class ForwardTrace:
     def forward_part(self, l: int) -> np.ndarray:
         """Activations of layer l that project onward (or are class outputs)."""
         return self.activations[l][..., : self.forward_widths[l], :]
-
-    def aux_part(self, l: int) -> np.ndarray:
-        return self.activations[l][..., self.forward_widths[l]:, :]
 
     def layer_input(self, l: int) -> np.ndarray:
         """What layer l multiplied by its weight: the input, or the previous
@@ -198,7 +193,8 @@ def forward(net: Network, x: np.ndarray) -> ForwardTrace:
     activations stay local to their layer.
     """
     x = _as_columns(x, net.input_width, "input")
-    trace = ForwardTrace(inputs=x, forward_widths=net.forward_widths())
+    trace = ForwardTrace(inputs=x,
+                         forward_widths=[layer.forward_width for layer in net.layers])
     cur = x
     for layer in net.layers:
         h = layer.weight @ cur
@@ -224,15 +220,32 @@ def output(net: Network, x: np.ndarray) -> np.ndarray:
     return cur
 
 
+def check_size(runs) -> None:
+    """Raise ValueError unless each n x n float64 weight is an array numpy can
+    size, and MemoryError if the weights plus an 8-byte widths entry per layer
+    exceed physical memory. ``runs`` yields (width, layer count) pairs, so a
+    depth is sized in closed form, before any sequence that long exists."""
+    widest = layers = need = 0
+    for width, count in runs:
+        widest, layers = max(widest, int(width)), layers + count
+        need += count * (8 * int(width) ** 2 + 8)
+    if widest ** 2 * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"width {widest} is too large: its float64 weight exceeds "
+                         "numpy's maximum array size")
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise MemoryError(f"the float64 weights and widths of a {layers}-layer network need "
+                          f"at least {need} bytes, more than this machine's {have} bytes "
+                          "of memory")
+
+
 def check_widths(total_widths, output_width: int) -> None:
     """Raise ValueError unless widths are >= 1, non-increasing, fit output_width
-    and each give an n x n float64 weight numpy can size."""
+    and each give an n x n float64 weight numpy can size; see check_size."""
     widths = list(total_widths)
     if not widths or min(widths) < 1 or widths != sorted(widths, reverse=True):
         raise ValueError(f"widths {tuple(widths)} must be >= 1 and non-increasing")
-    if int(widths[0]) ** 2 * 8 > np.iinfo(np.intp).max:
-        raise ValueError(f"width {widths[0]} is too large: its float64 weight exceeds "
-                         "numpy's maximum array size")
+    check_size((width, 1) for width in widths)
     if not 1 <= output_width <= widths[-1]:
         raise ValueError(f"output width (classes) {output_width} must lie in [1, {widths[-1]}]")
 
@@ -255,7 +268,7 @@ def build_network(
     if init not in ("orthogonal", "xavier"):
         raise ValueError(f"unknown init {init!r}")
 
-    streams = linalg.split_rng(linalg.make_rng(seed), len(total_widths))
+    streams = linalg.make_rng(seed).spawn(len(total_widths))
     layers = []
     for i, width in enumerate(total_widths):
         if init == "orthogonal":

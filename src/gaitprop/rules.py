@@ -225,10 +225,6 @@ def target_updates(trace: ForwardTrace, stack: TargetStack) -> list[np.ndarray]:
     return _local_updates(trace, stack.gaps, stack.gamma)
 
 
-# The names stay: harness (per call), TestRuleLookup and perfbench's RULE_PHASES read them
-tp_updates = itp_updates = gait_updates = target_updates
-
-
 def _check_lambda(lam: float) -> None:
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"lambda must be non-negative and finite, got {lam}")

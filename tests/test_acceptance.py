@@ -16,13 +16,11 @@ from gaitprop import (
     correction_matrices,
     forward,
     gait_targets,
-    gait_updates,
     itp_targets,
-    itp_updates,
     ortho_penalty,
     ortho_reg_grad,
+    target_updates,
     tp_targets,
-    tp_updates,
 )
 from gaitprop.harness import ExperimentConfig, equilibrium_sweep, gridsearch, train
 from gaitprop.linalg import make_rng
@@ -51,7 +49,7 @@ def test_criterion_1_linear_equivalence():
         trace = forward(net, rng.standard_normal(16))
         t = rng.standard_normal(16)
         bp = bp_updates(net, trace, t)
-        tp = tp_updates(trace, tp_targets(net, trace, t))
+        tp = target_updates(trace, tp_targets(net, trace, t))
         for l in range(net.depth):
             f = update_chain_f(net, l)
             rel = np.linalg.norm(bp[l] - f.T @ f @ tp[l]) \
@@ -69,7 +67,7 @@ def test_criterion_2_linear_orthogonal_identity():
         trace = forward(net, rng.standard_normal(16))
         t = rng.standard_normal(16)
         bp = bp_updates(net, trace, t)
-        tp = tp_updates(trace, tp_targets(net, trace, t))
+        tp = target_updates(trace, tp_targets(net, trace, t))
         for l in range(net.depth):
             rel = np.linalg.norm(bp[l] - tp[l]) \
                 / np.linalg.norm(bp[l])
@@ -91,7 +89,7 @@ def test_criterion_3_gait_bp_equivalence():
         ts = trace.output() + rng.normal(0, 0.5, (10, 64))
         stack = gait_targets(net, trace, ts, GAMMA)
         bp_all = bp_updates(net, trace, ts)
-        gait_all = gait_updates(trace, stack)
+        gait_all = target_updates(trace, stack)
         # aggregate cosine over all samples, flips included
         for l in range(net.depth):
             a, b = gait_all[l].ravel(), bp_all[l].ravel()
@@ -103,7 +101,7 @@ def test_criterion_3_gait_bp_equivalence():
             tr_i = forward(net, xs[:, [i]])
             st_i = gait_targets(net, tr_i, ts[:, [i]], GAMMA)
             bp_i = bp_updates(net, tr_i, ts[:, [i]])
-            g_i = gait_updates(tr_i, st_i)
+            g_i = target_updates(tr_i, st_i)
             for l in range(net.depth):
                 rel = np.linalg.norm(g_i[l] - bp_i[l]) \
                     / np.linalg.norm(bp_i[l])
@@ -123,7 +121,7 @@ def test_criterion_4_order_of_gamma_convergence():
         for (net, t), pin in zip(instances, pins):
             trace = forward(net, x)
             stack = gait_targets(net, trace, t, gamma)
-            gait = gait_updates(trace, stack)
+            gait = target_updates(trace, stack)
             bp = bp_updates(net, trace, t)
             worst = 0.0
             for l in range(net.depth - 1):
@@ -213,9 +211,9 @@ def test_criterion_8_auxiliary_freeze():
     trace = forward(net, xs)
     ts = trace.output() + rng.normal(0, 0.3, (4, 100))
     updates = {
-        "tp": tp_updates(trace, tp_targets(net, trace, ts)),
-        "itp": itp_updates(trace, itp_targets(net, trace, ts, GAMMA)),
-        "gait": gait_updates(trace, gait_targets(net, trace, ts, GAMMA)),
+        "tp": target_updates(trace, tp_targets(net, trace, ts)),
+        "itp": target_updates(trace, itp_targets(net, trace, ts, GAMMA)),
+        "gait": target_updates(trace, gait_targets(net, trace, ts, GAMMA)),
     }
     all_zero = all(
         np.all(upd[l][net.layers[l].forward_width:] == 0.0)

@@ -1,7 +1,12 @@
 import csv
 import json
+import os
+import re
 import struct
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -356,12 +361,14 @@ def test_read_only_directory_fails_before_training(argv, tmp_path, monkeypatch, 
 @pytest.mark.parametrize("patched,argv", [
     ("gaitprop.harness.simulate", ["equilibrium", "--dt", "1e-9", "--nus", "0"]),
     ("gaitprop.harness.synthetic_teacher",
-     ["train", "--set", "width=100000", "--set", "depth=1"]),
+     ["train", "--set", "width=4096", "--set", "depth=1"]),
     ("gaitprop.cli.synthetic_teacher_quantized", ["datagen", "--n-in", "100000000"]),
 ])
 def test_memory_exhaustion_exits_1(patched, argv, tmp_path, monkeypatch, capsys):
-    # These inputs ask for 969 GiB, 74.5 GiB and 71.1 PiB. The first call
-    # that allocates fails as numpy's allocator does, without allocating.
+    # The equilibrium and datagen inputs ask for 969 GiB and 71.1 PiB. The
+    # train input passes the up-front size bound (a 128 MiB weight) and
+    # stands for a run that runs out of memory once it trains. The first
+    # call that allocates fails as numpy's allocator does, without allocating.
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 969. GiB for an array")
 
@@ -380,6 +387,48 @@ def test_unbuildable_depth_exits_1(arch, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error[memory]: ")
+
+
+# Sets an address-space limit, then runs the CLI on the remaining arguments.
+LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2)
+from gaitprop.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+HALVING_784_BYTES = (8 * sum(w * w for w in (784, 392, 196, 98, 49, 24, 12))
+                     + 8 * 10 ** 2 * (10 ** 9 - 7))
+
+
+@pytest.mark.parametrize("argv,need", [
+    (["train", "--set", "arch=fixed", "--set", "depth=1000000000"],
+     10 ** 9 * (8 * 784 ** 2 + 8)),
+    (["train", "--set", "arch=halving", "--set", "depth=1000000000"],
+     HALVING_784_BYTES + 8 * 10 ** 9),
+    (["train", "--set", "width=16", "--set", "classes=4",
+      "--set", "teacher_depth=1000000000"], 10 ** 9 * (8 * 16 ** 2 + 8)),
+    (["datagen", "--depth", "1000000000"], 10 ** 9 * (8 * 16 ** 2 + 8)),
+    (["train", "--set", "width=100000", "--set", "depth=1"], 8 * 10 ** 10 + 8),
+], ids=["fixed", "halving", "teacher_depth", "datagen", "wide"])
+def test_oversized_network_fails_before_allocating(argv, need, tmp_path):
+    # A depth of 1e9 would build a widths sequence of about 8 GB. The size is
+    # bounded in closed form first, so the run exits at once with the bytes
+    # it needs. The address-space limit, well below the host's memory, makes
+    # a run that allocates first fail fast instead of exhausting the host.
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    limit = str(min(2 << 30, physical // 2))
+    proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, limit] + argv
+                          + ["--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1
+    assert len(lines) == 1
+    assert re.fullmatch(rf"error\[memory\]: the float64 weights and widths of a \d+-layer "
+                        rf"network need at least {need} bytes, more than this machine's "
+                        rf"{physical} bytes of memory", lines[0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -479,8 +528,8 @@ def _edit(blob: bytes, edits) -> bytes:
     return bytes(out)
 
 
-# Not drawn here: ``arch=fixed`` with a depth near 1e9 passes the up-front
-# width checks and builds a widths tuple of about 8 GB before it fails.
+# Not drawn here: a depth near 1e9, which would allocate about 8 GB; see
+# test_oversized_network_fails_before_allocating.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -505,3 +554,28 @@ def test_mutated_checkpoint_honours_the_exit_contract(edits, tmp_path, capsys):
     save_checkpoint(make_net([16] * 3, 4), ckpt)
     ckpt.write_bytes(_edit(ckpt.read_bytes(), edits))
     _honours_exit_contract(["checkpoint-inspect", str(ckpt)], capsys)
+
+
+# A desk run that the byte edits turn into other keys, values or encodings.
+# epochs=0 is pinned: a cut that drops keys falls back to the 784x5,
+# 50-epoch defaults.
+CONFIG_TEXT = b"""# desk run
+rule = gait
+width = 8
+depth = 2
+classes = 2
+train_samples = 32
+test_samples = 8
+batch_size = 16
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=EDITS)
+def test_mutated_config_honours_the_exit_contract(edits, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(_edit(CONFIG_TEXT, edits))
+    _honours_exit_contract(["train", "--config", str(cfg), "--set", "epochs=0",
+                            "--out", str(tmp_path / "out")], capsys)

@@ -8,10 +8,9 @@ from gaitprop import (
     bp_updates,
     forward,
     gait_targets,
-    gait_updates,
     ortho_drift,
+    target_updates,
     tp_targets,
-    tp_updates,
 )
 from gaitprop.diagnostics import SCATTER_PAIRS, write_alignment_csv, write_scatter_csv
 from gaitprop.linalg import make_rng
@@ -77,8 +76,8 @@ class TestRuleAlignment:
         trace = forward(net, xs)
         ts = trace.output() + rng.normal(0, 0.5, (10, 64))
         bp = bp_updates(net, trace, ts)
-        gait = gait_updates(trace, gait_targets(net, trace, ts, 1e-3))
-        tp = tp_updates(trace, tp_targets(net, trace, ts))
+        gait = target_updates(trace, gait_targets(net, trace, ts, 1e-3))
+        tp = target_updates(trace, tp_targets(net, trace, ts))
         gait_rep = align(gait, bp, make_rng(0))
         tp_rep = align(tp, bp, make_rng(0))
         for cg in gait_rep.cosines:

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gaitprop import (Activation, bp_updates, build_network,
-                      correction_matrices, forward, gait_targets, gait_updates, itp_targets,
-                      itp_updates, load_checkpoint, output, save_checkpoint, tp_targets,
-                      tp_updates)
+                      correction_matrices, forward, gait_targets, itp_targets,
+                      load_checkpoint, output, save_checkpoint, target_updates, tp_targets)
 from gaitprop.linalg import make_rng
 
 EPS = np.finfo(np.float64).eps
@@ -22,12 +21,12 @@ def check_theorems(net, x, t, gamma: float, path) -> None:
     trace = forward(net, x)
     assert output(net, x).tobytes() == trace.output().tobytes()
 
-    tp = tp_updates(trace, tp_targets(net, trace, t))
-    itp_one = itp_updates(trace, itp_targets(net, trace, t, 1.0))
+    tp = target_updates(trace, tp_targets(net, trace, t))
+    itp_one = target_updates(trace, itp_targets(net, trace, t, 1.0))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(itp_one, tp))
     gait_stack = gait_targets(net, trace, t, gamma)
-    updates = [tp, itp_updates(trace, itp_targets(net, trace, t, gamma)),
-               gait_updates(trace, gait_stack)]
+    updates = [tp, target_updates(trace, itp_targets(net, trace, t, gamma)),
+               target_updates(trace, gait_stack)]
     for upd in updates:
         for l, layer in enumerate(net.layers):
             assert np.all(upd[l][layer.forward_width:] == 0.0)
@@ -39,7 +38,7 @@ def check_theorems(net, x, t, gamma: float, path) -> None:
         stack = gait_targets(net, sub, t[:, calm], gamma)
         assert np.all(stack.sign_flips == 0)
         bp = bp_updates(net, sub, t[:, calm])
-        for g, b in zip(gait_updates(sub, stack), bp):
+        for g, b in zip(target_updates(sub, stack), bp):
             assert np.abs(g - b).max() <= 1e-14 * np.abs(b).max()
 
     save_checkpoint(net, path)

@@ -1,12 +1,15 @@
 import csv
+import importlib
 import json
 import os
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaitprop import Activation, forward, harness, make_rng
+from gaitprop import Activation, forward, harness, make_rng, network
 from gaitprop.data import (Dataset, load_idx, synthetic_teacher, synthetic_teacher_quantized,
                            write_idx)
 from gaitprop.dynamics import equilibria, simulate
@@ -602,3 +605,18 @@ class TestRuleLookup:
         per_init = ["bp_updates", "tp_targets", "tp_updates",
                     "gait_targets", "gait_updates"]
         assert sorted(calls) == sorted(per_init * 2)
+
+
+def test_every_name_perfbench_wraps_exists(monkeypatch):
+    """perfbench's tracer replaces program attributes by name, so a refactor
+    that drops or moves one breaks the benchmark; it fails here first."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    for name in ("workloads", "tracer"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    workloads = importlib.import_module("workloads")
+    for target in workloads.trace_targets():
+        assert target.attr in vars(target.owner), target.layer
+    assert isinstance(vars(network.Layer)["weight_inv"], property)
+    for phases in workloads.RULE_PHASES.values():
+        for name in phases:
+            assert name in vars(harness), name

@@ -17,7 +17,6 @@ from gaitprop.linalg import (
     orthogonal_init,
     orthogonality_error,
     solve,
-    split_rng,
     xavier_init,
 )
 
@@ -340,14 +339,14 @@ class TestRng:
                               make_rng(7).standard_normal(10))
 
     def test_spawned_streams_differ(self):
-        kids = split_rng(make_rng(7), 3)
+        kids = make_rng(7).spawn(3)
         draws = [k.standard_normal(4) for k in kids]
         assert not np.allclose(draws[0], draws[1])
         assert not np.allclose(draws[1], draws[2])
 
     def test_spawn_order_independent(self):
-        a = split_rng(make_rng(7), 3)
-        b = split_rng(make_rng(7), 3)
+        a = make_rng(7).spawn(3)
+        b = make_rng(7).spawn(3)
         # consume in a different order; streams must be unaffected
         b[2].standard_normal(100)
         assert np.array_equal(a[0].standard_normal(5), b[0].standard_normal(5))

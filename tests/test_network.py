@@ -158,7 +158,8 @@ class TestAugmentedInverse:
         layer = net2.layers[0]               # 8 total, 5 forward, 3 aux
         x = make_rng(18).uniform(0, 1, 8)
         trace = forward(net2, x)
-        got = augmented_inverse(layer, trace.forward_part(0), trace.aux_part(0))
+        aux = trace.activations[0][trace.forward_widths[0]:]
+        got = augmented_inverse(layer, trace.forward_part(0), aux)
         assert np.abs(got[:, 0] - x).max() < 1e-9
 
     def test_blockwise_hand_computation(self):
@@ -192,7 +193,8 @@ class TestFullNetworkRoundTrip:
         trace = forward(net, x)
         cur = trace.forward_part(net.depth - 1)
         for l in range(net.depth - 1, -1, -1):
-            cur = augmented_inverse(net.layers[l], cur, trace.aux_part(l))
+            aux = trace.activations[l][trace.forward_widths[l]:]
+            cur = augmented_inverse(net.layers[l], cur, aux)
         assert np.abs(cur[:, 0] - x).max() < 1e-8
 
 

@@ -9,14 +9,12 @@ from gaitprop import (
     correction_matrices,
     forward,
     gait_targets,
-    gait_updates,
     itp_targets,
-    itp_updates,
     ortho_penalty,
     ortho_reg_grad,
     rules,
+    target_updates,
     tp_targets,
-    tp_updates,
 )
 from gaitprop.linalg import make_rng, orthogonal_init, xavier_init
 
@@ -142,7 +140,7 @@ class TestTpUpdates:
         net = make_net([7, 7], 4, seed=5)
         trace = forward(net, rng.uniform(0, 1, 7))
         stack = tp_targets(net, trace, trace.output())
-        for d in tp_updates(trace, stack):
+        for d in target_updates(trace, stack):
             assert np.abs(d).max() < 1e-9
 
     def test_linear_relation_to_bp(self, rng):
@@ -151,7 +149,7 @@ class TestTpUpdates:
         trace = forward(net, rng.standard_normal(16))
         t = rng.standard_normal(16)
         bp = bp_updates(net, trace, t)
-        tp = tp_updates(trace, tp_targets(net, trace, t))
+        tp = target_updates(trace, tp_targets(net, trace, t))
         for l in range(net.depth):
             f = update_chain_f(net, l)
             lhs = bp[l]
@@ -163,7 +161,7 @@ class TestTpUpdates:
         trace = forward(net, rng.standard_normal(16))
         t = rng.standard_normal(16)
         bp = bp_updates(net, trace, t)
-        tp = tp_updates(trace, tp_targets(net, trace, t))
+        tp = target_updates(trace, tp_targets(net, trace, t))
         for l in range(net.depth):
             rel = np.linalg.norm(bp[l] - tp[l]) \
                 / np.linalg.norm(bp[l])
@@ -176,21 +174,19 @@ class TestTpUpdates:
         x = rng.standard_normal(8)
         trace = forward(net, x)
         at_optimum = bp_updates(net, trace, trace.output())
-        tp_at_optimum = tp_updates(trace, tp_targets(net, trace, trace.output()))
+        tp_at_optimum = target_updates(trace, tp_targets(net, trace, trace.output()))
         for dbp, dtp in zip(at_optimum, tp_at_optimum):
             assert np.abs(dbp).max() < 1e-12 and np.abs(dtp).max() < 1e-12
         t = trace.output()[:, 0] + 1.0
         off = bp_updates(net, trace, t)
-        tp_off = tp_updates(trace, tp_targets(net, trace, t))
+        tp_off = target_updates(trace, tp_targets(net, trace, t))
         for dbp, dtp in zip(off, tp_off):
             assert np.abs(dbp).max() > 1e-8 and np.abs(dtp).max() > 1e-8
 
 
 class TestTargetUpdates:
-    @pytest.mark.parametrize("targets,updates", [(itp_targets, itp_updates),
-                                                 (gait_targets, gait_updates)],
-                             ids=["itp", "gait"])
-    def test_scale_is_the_stacks_own_gamma(self, targets, updates, rng):
+    @pytest.mark.parametrize("targets", [itp_targets, gait_targets], ids=["itp", "gait"])
+    def test_scale_is_the_stacks_own_gamma(self, targets, rng):
         # the stack carries the gamma it was built with, so no other gamma
         # can scale its updates
         net = make_net([6, 5, 4], 3, seed=6)
@@ -199,7 +195,7 @@ class TestTargetUpdates:
         for gamma in (1e-3, 0.25):
             stack = targets(net, trace, t, gamma)
             assert stack.gamma == gamma
-            for got, want in zip(updates(trace, stack),
+            for got, want in zip(target_updates(trace, stack),
                                  local_updates_oracle(trace, stack.gaps, gamma)):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -214,8 +210,8 @@ class TestItpTargets:
         t = trace.output() + rng.standard_normal((4, 1))
         reference = [t] * net.depth
         for l in range(net.depth - 1, 0, -1):
-            reference[l - 1] = augmented_inverse(net.layers[l], reference[l],
-                                                 trace.aux_part(l))
+            aux = trace.activations[l][trace.forward_widths[l]:]
+            reference[l - 1] = augmented_inverse(net.layers[l], reference[l], aux)
         tp = tp_targets(net, trace, t)
         itp = itp_targets(net, trace, t, 1.0)
         for ref, a, b in zip(reference, stack_targets(trace, tp),
@@ -317,7 +313,7 @@ class TestGaitBpEquivalence:
                 continue
             checked += 1
             bp = bp_updates(net, trace, t)
-            gait = gait_updates(trace, stack)
+            gait = target_updates(trace, stack)
             for l in range(net.depth):
                 rel = np.linalg.norm(gait[l] - bp[l]) \
                     / np.linalg.norm(bp[l])
@@ -336,7 +332,7 @@ class TestGaitBpEquivalence:
         stack = gait_targets(net, trace, t, GAMMA)
         assert np.all(stack.sign_flips == 0)
         bp = bp_updates(net, trace, t)
-        gait = gait_updates(trace, stack)
+        gait = target_updates(trace, stack)
         for l in range(net.depth):
             rel = np.abs(gait[l] - bp[l]).max() / np.abs(bp[l]).max()
             assert rel < 1e-14
@@ -346,7 +342,7 @@ class TestGaitBpEquivalence:
         trace = forward(net, rng.uniform(0, 1, 10))
         t = rng.standard_normal(6)
         bp = bp_updates(net, trace, t)
-        gait = gait_updates(trace, gait_targets(net, trace, t, GAMMA))
+        gait = target_updates(trace, gait_targets(net, trace, t, GAMMA))
         assert np.abs(bp[0] - gait[0]).max() < 1e-15
 
     def test_cosine_above_threshold_across_samples(self, rng):
@@ -355,7 +351,7 @@ class TestGaitBpEquivalence:
         trace = forward(net, xs)
         ts = trace.output() + rng.normal(0, 0.5, (10, 100))
         bp = bp_updates(net, trace, ts)
-        gait = gait_updates(trace, gait_targets(net, trace, ts, GAMMA))
+        gait = target_updates(trace, gait_targets(net, trace, ts, GAMMA))
         for l in range(net.depth):
             a, b = gait[l].ravel(), bp[l].ravel()
             cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
@@ -365,7 +361,7 @@ class TestGaitBpEquivalence:
         net = make_net([8, 8], 4, seed=14)
         trace = forward(net, rng.uniform(0, 1, 8))
         stack = gait_targets(net, trace, trace.output(), GAMMA)
-        for d in gait_updates(trace, stack):
+        for d in target_updates(trace, stack):
             assert np.abs(d).max() < 1e-9
 
 
@@ -377,11 +373,11 @@ class TestAuxiliaryFreeze:
         trace = forward(net, xs)
         ts = trace.output() + rng.normal(0, 0.3, (4, 100))
         if flavor == "tp":
-            upd = tp_updates(trace, tp_targets(net, trace, ts))
+            upd = target_updates(trace, tp_targets(net, trace, ts))
         elif flavor == "itp":
-            upd = itp_updates(trace, itp_targets(net, trace, ts, GAMMA))
+            upd = target_updates(trace, itp_targets(net, trace, ts, GAMMA))
         else:
-            upd = gait_updates(trace, gait_targets(net, trace, ts, GAMMA))
+            upd = target_updates(trace, gait_targets(net, trace, ts, GAMMA))
         for l, layer in enumerate(net.layers):
             aux_rows = upd[l][layer.forward_width:]
             assert np.all(aux_rows == 0.0)
@@ -559,7 +555,7 @@ class TestCorrectionMatrices:
         stack = gait_targets(net, trace, t, GAMMA)
         assert int(stack.sign_flips[0]) == 0
         bp = bp_updates(net, trace, t)
-        gait = gait_updates(trace, stack)
+        gait = target_updates(trace, stack)
         for l in range(net.depth - 1):
             n_mat = correction_matrices(net, trace, l).gait
             lhs = n_mat @ gait[l]
@@ -578,7 +574,7 @@ class TestCorrectionMatrices:
                 stack = gait_targets(net, trace, t, gamma)
                 # the pinned unit flips exactly when the blend passes it
                 assert int(stack.sign_flips[0]) == (1 if pin < gamma else 0)
-                gait = gait_updates(trace, stack)
+                gait = target_updates(trace, stack)
                 bp = bp_updates(net, trace, t)
                 worst = 0.0
                 for l in range(net.depth - 1):
