@@ -142,18 +142,26 @@ def check_teacher(n_in: int, depth: int, n_classes: int, samples: int) -> None:
 def _teacher_draw(n_in: int, depth: int, n_classes: int, samples: int,
                   rng: np.random.Generator):
     """The frozen orthogonal leaky-ReLU teacher, seeded by the rng's first
-    draw, and the uniform [0, 1] inputs drawn after it."""
+    draw, and the uniform [0, 1] inputs drawn after it.
+
+    Every layer is ``n_in`` wide and the last one projects only its first
+    ``n_classes`` units, the only outputs a label reads. Each layer draws its
+    weight from its own spawned stream whatever its forward width, and
+    ``output`` activates the forward rows sliced from the full product, so
+    the labels are those of an ``n_in``-output teacher, byte for byte,
+    without its last full-size activation.
+    """
     check_teacher(n_in, depth, n_classes, samples)
     check_size([(n_in, depth)])  # before the depth-long widths list
-    teacher = build_network([n_in] * depth, n_in, Activation("leaky_relu", 0.01),
+    teacher = build_network([n_in] * depth, n_classes, Activation("leaky_relu", 0.01),
                             "orthogonal", int(rng.integers(0, 2**63 - 1)))
     return teacher, rng.uniform(0.0, 1.0, size=(samples, n_in))
 
 
-def _teacher_labels(teacher, inputs: np.ndarray, n_classes: int) -> np.ndarray:
+def _teacher_labels(teacher, inputs: np.ndarray) -> np.ndarray:
     if len(inputs) == 0:
         return np.zeros(0, dtype=np.int64)
-    return np.argmax(output(teacher, inputs.T)[:n_classes], axis=0).astype(np.int64)
+    return np.argmax(output(teacher, inputs.T), axis=0).astype(np.int64)
 
 
 def synthetic_teacher(n_in: int, depth: int, n_classes: int, samples: int,
@@ -165,7 +173,7 @@ def synthetic_teacher(n_in: int, depth: int, n_classes: int, samples: int,
     seed pins the whole dataset.
     """
     teacher, inputs = _teacher_draw(n_in, depth, n_classes, samples, rng)
-    return Dataset(inputs=inputs, labels=_teacher_labels(teacher, inputs, n_classes),
+    return Dataset(inputs=inputs, labels=_teacher_labels(teacher, inputs),
                    n_classes=n_classes)
 
 
@@ -176,10 +184,19 @@ def synthetic_teacher_quantized(n_in: int, depth: int, n_classes: int,
     Labels are computed from the quantized pixels so that loading the files
     reproduces the dataset exactly. Returns (pixels uint8 (n, n_in), labels
     int64).
+
+    The draw is scaled, rounded and clipped in place, and the pixels divided
+    by 255 go back into the same buffer for labelling, so the float64 draw
+    is the only full-size float array; the values are those of the
+    expression ``clip(round(inputs * 255), 0, 255) / 255``.
     """
     teacher, inputs = _teacher_draw(n_in, depth, n_classes, samples, linalg.make_rng(seed))
-    pixels = np.clip(np.round(inputs * 255.0), 0, 255).astype(np.uint8)
-    return pixels, _teacher_labels(teacher, pixels.astype(np.float64) / 255.0, n_classes)
+    np.multiply(inputs, 255.0, out=inputs)
+    np.round(inputs, out=inputs)
+    np.clip(inputs, 0, 255, out=inputs)
+    pixels = inputs.astype(np.uint8)
+    np.divide(pixels, 255.0, out=inputs)
+    return pixels, _teacher_labels(teacher, inputs)
 
 
 def batches(ds: Dataset, batch_size: int,

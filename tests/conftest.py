@@ -1,6 +1,9 @@
 """Shared builders for networks, controlled random matrices, and
 finite-difference, exact-inverse, absolute-target, Euler-loop, masked
-regularizer, Adam-step and select-based leaky-ReLU kernel oracles."""
+regularizer, Adam-step and select-based leaky-ReLU kernel oracles, and a
+traced-memory probe."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +217,23 @@ def adam_step_oracle(state, net, deltas) -> None:
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
         layer.weight = layer.weight - state.eta * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that one call ``fn(*args)`` holds above what was traced
+    when it began. numpy reports its array buffers to tracemalloc, so the
+    count is deterministic and needs no subprocess or rlimit."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture

@@ -396,20 +396,23 @@ resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2)
 from gaitprop.cli import main
 sys.exit(main(sys.argv[2:]))
 """
+# Each layer is charged its weight plus 1024 bytes for its Python objects.
 HALVING_784_BYTES = (8 * sum(w * w for w in (784, 392, 196, 98, 49, 24, 12))
-                     + 8 * 10 ** 2 * (10 ** 9 - 7))
+                     + 8 * 10 ** 2 * (10 ** 9 - 7) + 1024 * 10 ** 9)
 
 
 @pytest.mark.parametrize("argv,need", [
     (["train", "--set", "arch=fixed", "--set", "depth=1000000000"],
-     10 ** 9 * (8 * 784 ** 2 + 8)),
-    (["train", "--set", "arch=halving", "--set", "depth=1000000000"],
-     HALVING_784_BYTES + 8 * 10 ** 9),
+     10 ** 9 * (8 * 784 ** 2 + 1024)),
+    (["train", "--set", "arch=halving", "--set", "depth=1000000000"], HALVING_784_BYTES),
     (["train", "--set", "width=16", "--set", "classes=4",
-      "--set", "teacher_depth=1000000000"], 10 ** 9 * (8 * 16 ** 2 + 8)),
-    (["datagen", "--depth", "1000000000"], 10 ** 9 * (8 * 16 ** 2 + 8)),
-    (["train", "--set", "width=100000", "--set", "depth=1"], 8 * 10 ** 10 + 8),
-], ids=["fixed", "halving", "teacher_depth", "datagen", "wide"])
+      "--set", "teacher_depth=1000000000"], 10 ** 9 * (8 * 16 ** 2 + 1024)),
+    (["datagen", "--depth", "1000000000"], 10 ** 9 * (8 * 16 ** 2 + 1024)),
+    (["train", "--set", "width=100000", "--set", "depth=1"], 8 * 10 ** 10 + 1024),
+    # 4e8 width-1 layers: 3.2 GB of weights, 410 GB of layer objects
+    (["train", "--set", "width=1", "--set", "classes=1", "--set", "depth=400000000"],
+     4 * 10 ** 8 * (8 + 1024)),
+], ids=["fixed", "halving", "teacher_depth", "datagen", "wide", "narrow_deep"])
 def test_oversized_network_fails_before_allocating(argv, need, tmp_path):
     # A depth of 1e9 would build a widths sequence of about 8 GB. The size is
     # bounded in closed form first, so the run exits at once with the bytes
@@ -426,9 +429,9 @@ def test_oversized_network_fails_before_allocating(argv, need, tmp_path):
     lines = proc.stderr.splitlines()
     assert proc.returncode == 1
     assert len(lines) == 1
-    assert re.fullmatch(rf"error\[memory\]: the float64 weights and widths of a \d+-layer "
-                        rf"network need at least {need} bytes, more than this machine's "
-                        rf"{physical} bytes of memory", lines[0])
+    assert re.fullmatch(rf"error\[memory\]: the float64 weights and layer objects of a "
+                        rf"\d+-layer network need at least {need} bytes, more than this "
+                        rf"machine's {physical} bytes of memory", lines[0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -18,6 +18,9 @@ from gaitprop.data import (
     write_idx,
 )
 from gaitprop.linalg import make_rng
+from gaitprop.network import Activation, build_network, output
+
+from conftest import traced_peak
 
 
 @pytest.fixture
@@ -162,6 +165,50 @@ class TestSyntheticTeacher:
         ds = load_idx(ip, lp, n_classes=4)
         assert np.allclose(ds.inputs, pixels / 255.0)
         assert np.array_equal(ds.labels, labels)
+
+
+def full_teacher_oracle(n_in, depth, n_classes, samples, rng):
+    """The draw of a teacher with all n_in outputs, and its labelling: the
+    argmax over the first n_classes rows. ``synthetic_teacher`` must give
+    its bytes."""
+    teacher = build_network([n_in] * depth, n_in, Activation("leaky_relu", 0.01),
+                            "orthogonal", int(rng.integers(0, 2**63 - 1)))
+    inputs = rng.uniform(0.0, 1.0, size=(samples, n_in))
+    return inputs, lambda x: np.argmax(output(teacher, x.T)[:n_classes], axis=0)
+
+
+TEACHER_SHAPES = sorted({(n_in, depth, classes) for n_in in (1, 16, 64, 256)
+                         for depth in (1, 2, 3) for classes in (1, min(2, n_in), n_in)})
+
+
+class TestClassOnlyTeacher:
+    @pytest.mark.parametrize("n_in,depth,classes", TEACHER_SHAPES)
+    def test_labels_equal_the_full_teachers(self, n_in, depth, classes):
+        ds = synthetic_teacher(n_in, depth, classes, 300, make_rng(9))
+        inputs, labels = full_teacher_oracle(n_in, depth, classes, 300, make_rng(9))
+        assert ds.inputs.tobytes() == inputs.tobytes()
+        assert ds.labels.tobytes() == labels(inputs).astype(np.int64).tobytes()
+
+    @pytest.mark.parametrize("n_in,depth,classes", [(16, 2, 4), (64, 3, 10), (256, 1, 2)])
+    def test_quantized_equals_the_out_of_place_expression(self, n_in, depth, classes):
+        pixels, labels = synthetic_teacher_quantized(n_in, depth, classes, 300, seed=11)
+        inputs, label = full_teacher_oracle(n_in, depth, classes, 300, make_rng(11))
+        expected = np.clip(np.round(inputs * 255.0), 0, 255).astype(np.uint8)
+        assert pixels.tobytes() == expected.tobytes()
+        assert labels.tobytes() == label(expected / 255.0).astype(np.int64).tobytes()
+
+    # One full-size buffer per layer: the draw, one layer's product and its
+    # activation. Two arrays per activation and an n_in-output last layer
+    # held about 5.1 draws for the teacher; three float temporaries held 6.3
+    # for the quantized draw.
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_teacher_peak_is_three_and_a_half_draws(self, depth):
+        draw = 256 * 4096 * 8
+        assert traced_peak(synthetic_teacher, 256, depth, 10, 4096, make_rng(0)) < 3.5 * draw
+
+    def test_quantized_peak_is_three_and_a_half_draws(self):
+        draw = 784 * 8000 * 8
+        assert traced_peak(synthetic_teacher_quantized, 784, 2, 10, 8000, 5) < 3.5 * draw
 
 
 class TestBatches:

@@ -14,7 +14,7 @@ from gaitprop import (
 from gaitprop.linalg import SingularMatrix, make_rng, orthogonal_init
 from gaitprop.network import CheckpointError
 
-from conftest import activation_inverse, augmented_inverse, inverse_layer, make_net
+from conftest import activation_inverse, augmented_inverse, inverse_layer, make_net, traced_peak
 
 
 class TestActivation:
@@ -34,6 +34,21 @@ class TestActivation:
         a = Activation("leaky_relu", 0.01)
         x = make_rng(1).standard_normal(200)
         assert np.abs(activation_inverse(a, a.forward(x)) - x).max() < 1e-12
+
+    def test_leaky_forward_allocates_one_array(self):
+        # the maximum goes back into the slope * x scratch: one array, not two
+        x = make_rng(2).standard_normal((256, 4096))
+        assert traced_peak(Activation("leaky_relu", 0.01).forward, x) < 1.5 * x.nbytes
+
+    @pytest.mark.parametrize("kind", ["leaky_relu", "linear"])
+    def test_passes_leave_their_input_untouched(self, kind):
+        net = make_net([16, 8, 4], 2, kind=kind, seed=3)
+        x = make_rng(4).standard_normal((16, 50))
+        before = x.copy()
+        net.layers[0].activation.forward(x)
+        forward(net, x)
+        output(net, x)
+        assert x.tobytes() == before.tobytes()
 
     def test_bad_slope_rejected(self):
         with pytest.raises(ValueError):
