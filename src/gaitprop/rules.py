@@ -150,20 +150,17 @@ def _inverse_displacement(act: np.ndarray, disp: np.ndarray, slope: float):
     linear piece, with no cancellation, and ``act / g_b - moved / g_a`` when
     they straddle the kink. Division by 1.0 is exact, so each case does the
     operations of its own branch-wise formula. The slopes come from
-    branch-free maxima. Crossings are rare for itp and gait, so the kink
-    formula is computed, and written into the crossed entries, only when
-    some entry crossed. Returns the displacement in pre-activation space and
-    the per-entry kink-crossing mask.
+    branch-free maxima, and the one select is on the crossing mask, which
+    is rare for itp and gait. Returns the displacement in pre-activation
+    space and the per-entry kink-crossing mask.
     """
     moved = act - disp
     before = act >= 0
     after = moved >= 0
     crossed = before != after
     g_b = np.maximum(before, slope)
-    v = disp / g_b
-    if crossed.any():
-        g_a = np.maximum(after, slope)
-        np.copyto(v, act / g_b - moved / g_a, where=crossed)
+    g_a = np.maximum(after, slope)
+    v = np.where(crossed, act / g_b - moved / g_a, disp / g_b)
     return v, crossed
 
 

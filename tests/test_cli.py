@@ -397,6 +397,9 @@ from gaitprop.cli import main
 sys.exit(main(sys.argv[2:]))
 """
 # Each layer is charged its weight plus 1024 bytes for its Python objects.
+PHYSICAL = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+# The shallowest width-1 network the size bound rejects.
+NARROW_LIMIT_DEPTH = PHYSICAL // (8 + 1024) + 1
 HALVING_784_BYTES = (8 * sum(w * w for w in (784, 392, 196, 98, 49, 24, 12))
                      + 8 * 10 ** 2 * (10 ** 9 - 7) + 1024 * 10 ** 9)
 
@@ -412,17 +415,19 @@ HALVING_784_BYTES = (8 * sum(w * w for w in (784, 392, 196, 98, 49, 24, 12))
     # 4e8 width-1 layers: 3.2 GB of weights, 410 GB of layer objects
     (["train", "--set", "width=1", "--set", "classes=1", "--set", "depth=400000000"],
      4 * 10 ** 8 * (8 + 1024)),
-], ids=["fixed", "halving", "teacher_depth", "datagen", "wide", "narrow_deep"])
+    (["train", "--set", "width=1", "--set", "classes=1",
+      "--set", f"depth={NARROW_LIMIT_DEPTH}"], NARROW_LIMIT_DEPTH * (8 + 1024)),
+], ids=["fixed", "halving", "teacher_depth", "datagen", "wide", "narrow_deep",
+        "narrow_at_limit"])
 def test_oversized_network_fails_before_allocating(argv, need, tmp_path):
     # A depth of 1e9 would build a widths sequence of about 8 GB. The size is
     # bounded in closed form first, so the run exits at once with the bytes
     # it needs. The address-space limit, well below the host's memory, makes
     # a run that allocates first fail fast instead of exhausting the host.
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    limit = str(min(2 << 30, physical // 2))
+    limit = str(min(2 << 30, PHYSICAL // 2))
     proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, limit] + argv
                           + ["--out", str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, timeout=60)
@@ -431,7 +436,7 @@ def test_oversized_network_fails_before_allocating(argv, need, tmp_path):
     assert len(lines) == 1
     assert re.fullmatch(rf"error\[memory\]: the float64 weights and layer objects of a "
                         rf"\d+-layer network need at least {need} bytes, more than this "
-                        rf"machine's {physical} bytes of memory", lines[0])
+                        rf"machine's {PHYSICAL} bytes of memory", lines[0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -11,7 +11,7 @@ from gaitprop import (
     output,
     save_checkpoint,
 )
-from gaitprop.linalg import SingularMatrix, make_rng, orthogonal_init
+from gaitprop.linalg import SingularMatrix, make_rng, orthogonal_init, xavier_init
 from gaitprop.network import CheckpointError
 
 from conftest import activation_inverse, augmented_inverse, inverse_layer, make_net, traced_peak
@@ -225,6 +225,15 @@ class TestNetworkConstruction:
     def test_build_network_nonincreasing(self):
         with pytest.raises(ValueError, match="non-increasing"):
             build_network([4, 8], 2, Activation("linear"), "orthogonal", 0)
+        with pytest.raises(ValueError, match="non-increasing"):
+            build_network(np.array([4, 8]), 2, Activation("linear"), "orthogonal", 0)
+
+    def test_build_network_takes_an_array_of_widths(self):
+        a = build_network([8, 6, 4], 2, Activation("linear"), "orthogonal", 7)
+        b = build_network(np.array([8, 6, 4]), 2, Activation("linear"), "orthogonal", 7)
+        for la, lb in zip(a.layers, b.layers):
+            assert np.array_equal(la.weight, lb.weight)
+            assert la.forward_width == lb.forward_width
 
     def test_weight_assignment_invalidates_inverse(self):
         net = make_net([5], 5, seed=22)
@@ -238,6 +247,17 @@ class TestNetworkConstruction:
         a = build_network([8, 8], 4, Activation("linear"), "orthogonal", 7)
         b = build_network([8, 8, 8], 4, Activation("linear"), "orthogonal", 7)
         assert np.array_equal(a.layers[0].weight, b.layers[0].weight)
+
+    @pytest.mark.parametrize("init", ["orthogonal", "xavier"])
+    def test_layer_streams_are_the_seeds_spawned_children(self, init):
+        # build_network spawns one child at a time; the streams must equal
+        # those of spawning every child at once
+        net = build_network([6, 6, 5, 3], 2, Activation("linear"), init, 11)
+        streams = make_rng(11).spawn(4)
+        for layer, width, stream in zip(net.layers, (6, 6, 5, 3), streams):
+            want = (orthogonal_init(width, stream) if init == "orthogonal"
+                    else xavier_init(width, width, stream))
+            assert layer.weight.tobytes() == want.tobytes()
 
 
 class TestCheckpoint:
