@@ -228,13 +228,6 @@ class TestNetworkConstruction:
         with pytest.raises(ValueError, match="non-increasing"):
             build_network(np.array([4, 8]), 2, Activation("linear"), "orthogonal", 0)
 
-    def test_build_network_takes_an_array_of_widths(self):
-        a = build_network([8, 6, 4], 2, Activation("linear"), "orthogonal", 7)
-        b = build_network(np.array([8, 6, 4]), 2, Activation("linear"), "orthogonal", 7)
-        for la, lb in zip(a.layers, b.layers):
-            assert np.array_equal(la.weight, lb.weight)
-            assert la.forward_width == lb.forward_width
-
     def test_weight_assignment_invalidates_inverse(self):
         net = make_net([5], 5, seed=22)
         layer = net.layers[0]
@@ -247,6 +240,11 @@ class TestNetworkConstruction:
         a = build_network([8, 8], 4, Activation("linear"), "orthogonal", 7)
         b = build_network([8, 8, 8], 4, Activation("linear"), "orthogonal", 7)
         assert np.array_equal(a.layers[0].weight, b.layers[0].weight)
+        # a numpy array of widths builds the same network as a list
+        c = build_network(np.array([8, 8, 8]), 4, Activation("linear"), "orthogonal", 7)
+        for lb, lc in zip(b.layers, c.layers, strict=True):
+            assert np.array_equal(lb.weight, lc.weight)
+            assert lb.forward_width == lc.forward_width
 
     @pytest.mark.parametrize("init", ["orthogonal", "xavier"])
     def test_layer_streams_are_the_seeds_spawned_children(self, init):
