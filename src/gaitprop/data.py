@@ -121,10 +121,7 @@ def one_hot_batch(labels: np.ndarray, classes: int) -> np.ndarray:
     if labels.size and not (labels.min() >= 0 and labels.max() < classes):
         raise ValueError("labels out of range")
     out = np.zeros(labels.shape[:-1] + (classes, labels.shape[-1]))
-    index = (labels, np.arange(labels.shape[-1]))
-    if labels.ndim == 2:
-        index = (np.arange(len(labels))[:, None],) + index
-    out[index] = 1.0
+    np.put_along_axis(out, labels[..., None, :], 1.0, axis=-2)
     return out
 
 

@@ -64,12 +64,17 @@ class CircuitConfig:
 
 @dataclass
 class Trajectory:
+    """A ``simulate`` run: every sample of every coupling, and ``onset_step``,
+    the Euler step that switches the target on: the first whose time is not
+    before the onset, or n_steps if none is. Step k maps sample k to sample
+    k + 1, so the target first moves u2 at sample ``onset_step + 1``."""
     times: np.ndarray          # (n_steps + 1,)
     u1: np.ndarray             # (n_steps + 1, couplings, n)
     u2: np.ndarray
     # per coupling: the time of its first sample past the limit, or None if
     # it stayed within it
     diverged_at: list[float | None]
+    onset_step: int
 
 
 def simulate(cfg: CircuitConfig) -> Trajectory:
@@ -79,7 +84,7 @@ def simulate(cfg: CircuitConfig) -> Trajectory:
     w_inv = linalg.invert(w)
     n_steps = int(round(cfg.duration / cfg.dt))
     times = np.arange(n_steps + 1) * cfg.dt
-    k_onset = int(np.count_nonzero(times[:-1] < cfg.onset))
+    onset_step = int(np.count_nonzero(times[:-1] < cfg.onset))
     a = cfg.dt / cfg.tau
     nu = np.array(cfg.couplings, dtype=np.float64).reshape(-1, 1)
     # state[k, c] is coupling c's [u1; u2] at sample k. Per step, drive holds
@@ -100,7 +105,7 @@ def simulate(cfg: CircuitConfig) -> Trajectory:
     steps = zip(state[:-1], state[1:], u1[:, :, :, None], u2[:, :, :, None])
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (now, after, u1_cols, u2_cols) in enumerate(steps):
-            if k == k_onset:
+            if k == onset_step:
                 feed[:, 1] = cfg.t2
             np.matmul(w, u1_cols, out=w_u1)
             np.matmul(w_inv, u2_cols, out=w_inv_u2)
@@ -114,7 +119,8 @@ def simulate(cfg: CircuitConfig) -> Trajectory:
         peak = np.maximum(state.max(axis=(2, 3)), -state.min(axis=(2, 3)))
         bad = ~(peak <= _DIVERGENCE_LIMIT)
     diverged_at = [float(times[col.argmax()]) if col.any() else None for col in bad.T]
-    return Trajectory(times=times, u1=u1, u2=u2, diverged_at=diverged_at)
+    return Trajectory(times=times, u1=u1, u2=u2, diverged_at=diverged_at,
+                      onset_step=onset_step)
 
 
 def equilibria(cfg: CircuitConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -29,16 +29,15 @@ from .rules import bp_updates, gait_targets, itp_targets, ortho_reg_grad, target
 # One update, one name per rule: rule_updates reads these per call, and perfbench times each
 tp_updates = itp_updates = gait_updates = target_updates
 
-RULES = ("bp", "tp", "itp", "gait")
-
 # Grid-search cells that were stable across depths, per rule. itp is not a
 # reported rule; it borrows the gait cell.
 BOLD_CELLS = {
     "bp": (1e-4, 0.0),
-    "gait": (1e-4, 0.1),
-    "itp": (1e-4, 0.1),
     "tp": (1e-5, 1000.0),
+    "itp": (1e-4, 0.1),
+    "gait": (1e-4, 0.1),
 }
+RULES = tuple(BOLD_CELLS)
 
 DEFAULT_ETAS = (1e-3, 1e-4, 1e-5)
 DEFAULT_LAMBDAS = (0.0, 0.1, 10.0, 1000.0)
@@ -60,7 +59,7 @@ class TrainingDiverged(Exception):
 @dataclass(frozen=True)
 class ExperimentConfig:
     rule: str = "gait"
-    arch: str = "fixed"            # fixed | halving (ignored when widths given)
+    arch: str = "fixed"            # fixed | halving (widths, when given, override it)
     width: int = 784
     depth: int = 5
     widths: tuple[int, ...] | None = None
@@ -76,11 +75,10 @@ class ExperimentConfig:
     epochs: int = 50
     seed: int = 0
     data_seed: int = 1234
-    dataset: str = "synthetic"     # synthetic | idx
     teacher_depth: int = 2
     train_samples: int = 2000
     test_samples: int = 500
-    train_images: str | None = None
+    train_images: str | None = None  # all four paths select IDX data, none the teacher
     train_labels: str | None = None
     test_images: str | None = None
     test_labels: str | None = None
@@ -95,13 +93,14 @@ class ExperimentConfig:
         if self.arch == "fixed":
             check_size([(self.width, self.depth)])
             return (self.width,) * self.depth
-        if self.arch == "halving":  # width >> i reaches 0 after width.bit_length() layers
-            head = tuple(max(self.width >> i, self.classes)
-                         for i in range(min(self.depth, self.width.bit_length())))
-            check_size([(width, 1) for width in head]
-                       + [(self.classes, self.depth - len(head))])
-            return head + (self.classes,) * (self.depth - len(head))
-        raise ConfigError(f"unknown arch {self.arch!r}")
+        if self.width < self.classes:
+            raise ConfigError(f"arch=halving needs width >= classes, got width={self.width}, "
+                              f"classes={self.classes}")
+        # halving: width >> i reaches 0 after width.bit_length() layers
+        head = tuple(max(self.width >> i, self.classes)
+                     for i in range(min(self.depth, self.width.bit_length())))
+        check_size([(width, 1) for width in head] + [(self.classes, self.depth - len(head))])
+        return head + (self.classes,) * (self.depth - len(head))
 
     def resolved_eta(self) -> float:
         return self.eta if self.eta is not None else BOLD_CELLS[self.rule][0]
@@ -126,14 +125,12 @@ class ExperimentConfig:
         each ``dataclasses.replace`` of one, is checked when it is built."""
         if self.rule not in RULES:
             raise ConfigError(f"unknown rule {self.rule!r}; choose from {RULES}")
-        if self.dataset not in ("synthetic", "idx"):
-            raise ConfigError(f"unknown dataset {self.dataset!r}")
-        if self.dataset == "idx":
-            missing = [k for k in ("train_images", "train_labels",
-                                   "test_images", "test_labels")
-                       if getattr(self, k) is None]
-            if missing:
-                raise ConfigError(f"dataset=idx needs paths: {', '.join(missing)}")
+        missing = [k for k in ("train_images", "train_labels", "test_images", "test_labels")
+                   if getattr(self, k) is None]
+        if 0 < len(missing) < 4:
+            raise ConfigError(f"IDX data needs all four paths; missing {', '.join(missing)}")
+        if self.arch not in ("fixed", "halving"):
+            raise ConfigError(f"unknown arch {self.arch!r}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
         if min(self.train_samples, self.test_samples) < 0:
@@ -155,7 +152,7 @@ class ExperimentConfig:
             Activation(self.activation, self.alpha)
             check_widths(widths, self.classes)
             # the counts size a synthetic draw, but only cut idx files
-            samples = self.train_samples + self.test_samples if self.dataset == "synthetic" else 0
+            samples = self.train_samples + self.test_samples if self.train_images is None else 0
             check_teacher(widths[0], self.teacher_depth, self.classes, samples)
             linalg.make_rng(self.seed)
             linalg.make_rng(self.data_seed)
@@ -240,7 +237,7 @@ class RunRecord:
 
 def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     n_in = cfg.resolved_widths()[0]
-    if cfg.dataset == "idx":
+    if cfg.train_images is not None:
         return (_load_idx_split(cfg, n_in, cfg.train_images, cfg.train_labels,
                                 cfg.train_samples),
                 _load_idx_split(cfg, n_in, cfg.test_images, cfg.test_labels,
@@ -510,13 +507,13 @@ def align_experiment(cfg: ExperimentConfig, n_samples: int
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     available = cfg.train_samples
-    if cfg.dataset == "idx":  # the train pair only; loading it counts its rows
+    if cfg.train_images is not None:  # the train pair only; loading it counts its rows
         train_ds = _load_idx_split(cfg, cfg.resolved_widths()[0], cfg.train_images,
                                    cfg.train_labels, cfg.train_samples)
         available = len(train_ds)
     if n_samples > available:
         raise ConfigError(f"only {available} samples available")
-    if cfg.dataset != "idx":  # draw only the rows that are read
+    if cfg.train_images is None:  # draw only the rows that are read
         train_ds = _draw_teacher(cfg, n_samples)
     x = train_ds.inputs[:n_samples].T
     t = one_hot_batch(train_ds.labels[:n_samples], train_ds.n_classes)
@@ -539,7 +536,9 @@ def equilibrium_sweep(nus, seed: int = 0, dt: float = 0.01, onset: float = 50.0,
     The circuit has 4 units and tau = 1. Its weight is a random invertible
     matrix with singular values in [0.5, 2]; x and t2 are standard normal
     draws, all pinned by the seed. All couplings run in one lockstep
-    ``simulate`` call.
+    ``simulate`` call. ``err_before_onset`` reads u1 at sample
+    ``onset_step - 1`` of that call's trajectory, the sample before the step
+    that switches the target on; ``err_after_onset`` reads its last sample.
     """
     nus = tuple(float(nu) for nu in nus)
     size = 4
@@ -552,14 +551,13 @@ def equilibrium_sweep(nus, seed: int = 0, dt: float = 0.01, onset: float = 50.0,
                         onset=onset)
     traj = simulate(cfg)
     y1, y1_shifted, gamma = equilibria(cfg)
-    k_onset = int(round(onset / dt))
     rows = []
     for i, nu in enumerate(nus):
         row = {"nu": nu, "gamma": float(gamma[i]),
                "diverged": traj.diverged_at[i] is not None,
                "err_before_onset": float("nan"), "err_after_onset": float("nan")}
         if not row["diverged"]:
-            row["err_before_onset"] = float(np.abs(traj.u1[k_onset - 1, i] - y1[i]).max())
+            row["err_before_onset"] = float(np.abs(traj.u1[traj.onset_step - 1, i] - y1[i]).max())
             row["err_after_onset"] = float(np.abs(traj.u1[-1, i] - y1_shifted[i]).max())
         rows.append(row)
     return rows

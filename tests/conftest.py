@@ -183,6 +183,7 @@ def euler_oracle(cfg: CircuitConfig, nu: float) -> Trajectory:
     u1 = np.zeros((n_steps + 1, w.shape[0]))
     u2 = np.zeros_like(u1)
     a = cfg.dt / cfg.tau
+    onset_step = next((k for k in range(n_steps) if times[k] >= cfg.onset), n_steps)
     for k in range(n_steps):
         target = t2 if times[k] >= cfg.onset else 0.0
         du1 = -u1[k] + x + nu * (w_inv @ u2[k])
@@ -192,8 +193,8 @@ def euler_oracle(cfg: CircuitConfig, nu: float) -> Trajectory:
         if not (np.abs(u1[k + 1]).max() <= _DIVERGENCE_LIMIT
                 and np.abs(u2[k + 1]).max() <= _DIVERGENCE_LIMIT):
             return Trajectory(times=times, u1=u1, u2=u2,
-                              diverged_at=[float(times[k + 1])])
-    return Trajectory(times=times, u1=u1, u2=u2, diverged_at=[None])
+                              diverged_at=[float(times[k + 1])], onset_step=onset_step)
+    return Trajectory(times=times, u1=u1, u2=u2, diverged_at=[None], onset_step=onset_step)
 
 
 def masked_ortho_oracle(w: np.ndarray, lam: float) -> tuple[float, np.ndarray]:

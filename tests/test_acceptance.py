@@ -231,7 +231,7 @@ def _mnist_available() -> bool:
 def test_criterion_9_desk_scale_training_parity():
     if _mnist_available():
         base = ExperimentConfig(
-            width=784, depth=3, classes=10, dataset="idx",
+            width=784, depth=3, classes=10,
             train_images=str(MNIST_DIR / MNIST_FILES[0]),
             train_labels=str(MNIST_DIR / MNIST_FILES[1]),
             test_images=str(MNIST_DIR / MNIST_FILES[2]),
@@ -241,7 +241,7 @@ def test_criterion_9_desk_scale_training_parity():
         task = "10k-sample MNIST subset"
     else:
         base = ExperimentConfig(
-            width=16, depth=3, classes=4, dataset="synthetic",
+            width=16, depth=3, classes=4,
             teacher_depth=2, train_samples=2000, test_samples=1000,
             batch_size=16, epochs=10, seed=0, data_seed=1234)
         task = "synthetic teacher task (MNIST files absent)"
@@ -258,7 +258,7 @@ def test_criterion_9_desk_scale_training_parity():
 def test_criterion_10_table_shape_and_documentation():
     # Full-scale accuracy is documented as an optional long job, never
     # asserted here; the gridsearch must reproduce the sweep-table shape.
-    tiny = ExperimentConfig(width=16, depth=2, classes=4, dataset="synthetic",
+    tiny = ExperimentConfig(width=16, depth=2, classes=4,
                             teacher_depth=2, train_samples=120, test_samples=40,
                             batch_size=16, epochs=1, seed=0, data_seed=1234)
     etas = [1e-3, 1e-4, 1e-5]

@@ -33,7 +33,7 @@ def idx_args(tmp_path):
     data = tmp_path / "data"
     assert main(["datagen", "--out", str(data), "--n-in", "16", "--classes", "4",
                  "--train", "64", "--test", "16", "--seed", "5"]) == 0
-    sets = ["dataset=idx", "width=16", "depth=2", "classes=4", "epochs=1",
+    sets = ["width=16", "depth=2", "classes=4", "epochs=1",
             "batch_size=16", "train_samples=0", "test_samples=0"]
     sets += [f"{split}_{kind}={data}/{split}-{kind}-idx{3 if kind == 'images' else 1}-ubyte"
              for split in ("train", "test") for kind in ("images", "labels")]
@@ -289,6 +289,14 @@ def test_inspect_bad_stored_value(case, tmp_path, capsys):
     # an IDX label is one byte, so class 256 and up would wrap
     ["datagen", "--n-in", "324", "--classes", "300", "--depth", "1", "--train", "400",
      "--test", "0", "--seed", "3"],
+    # arch=halving narrows from width, which must reach classes
+    ["train", "--set", "arch=halving", "--set", "width=-5"],
+    ["train", "--set", "arch=halving", "--set", "width=0"],
+    ["train", "--set", "arch=halving", "--set", "width=3"],
+    # arch is checked even when widths override it
+    ["train", "--set", "widths=8,4", "--set", "classes=4", "--set", "arch=bogus"],
+    # some but not all four IDX paths
+    ["train", "--set", "train_images=a", "--set", "train_labels=b", "--set", "test_images=c"],
 ])
 def test_config_mistakes_exit_2(argv, tmp_path, capsys):
     # An exception escaping main() fails this test, as a traceback on

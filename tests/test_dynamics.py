@@ -31,11 +31,13 @@ def exact_state(cfg: CircuitConfig, horizon: float) -> np.ndarray:
 
 def assert_matches_oracle(cfg: CircuitConfig) -> list:
     """One ``simulate`` call against the step-by-step loop of each coupling:
-    the same divergence time, and the same bytes where neither diverged.
+    the same onset step and divergence time, and the same bytes where neither
+    diverged.
     Returns the divergence times."""
     got = simulate(cfg)
     for i, nu in enumerate(cfg.couplings):
         want = euler_oracle(cfg, nu)
+        assert got.onset_step == want.onset_step
         assert got.diverged_at[i] == want.diverged_at[0], (i, nu)
         if want.diverged_at[0] is None:
             assert got.times.tobytes() == want.times.tobytes()

@@ -2,8 +2,9 @@ import csv
 import importlib
 import json
 import os
+import re
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from gaitprop.harness import (
 
 from conftest import euler_oracle, make_net
 
-DESK = ExperimentConfig(width=16, depth=3, classes=4, dataset="synthetic",
+DESK = ExperimentConfig(width=16, depth=3, classes=4,
                         teacher_depth=2, train_samples=2000, test_samples=1000,
                         batch_size=16, epochs=10, seed=0, data_seed=1234)
 
@@ -116,8 +117,20 @@ class TestConfigParsing:
             build()
 
     def test_idx_dataset_requires_paths(self):
-        with pytest.raises(ConfigError, match="paths"):
-            config_from_mapping({"dataset": "idx"})
+        # all four IDX paths select IDX data and none the teacher; some but
+        # not all are a mistake that names the missing ones
+        for given, missing in ((("train_images", "train_labels"), "test_images, test_labels"),
+                               (("train_images", "test_images", "test_labels"),
+                                "train_labels")):
+            with pytest.raises(ConfigError, match=f"missing {missing}$"):
+                config_from_mapping(dict.fromkeys(given, "data.idx"))
+
+    def test_readme_config_table_lists_every_field(self):
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        keys = [key for line in table.splitlines() if line.startswith("| `")
+                for key in re.findall(r"`(\w+)`", line.split("|")[1])]
+        assert keys == [f.name for f in fields(ExperimentConfig)]
 
 
 class TestTrain:
@@ -153,10 +166,20 @@ class TestTrain:
         with pytest.raises(TrainingDiverged):
             train(replace(TINY, rule="bp", eta=1e150, epochs=3))
 
-    def test_idx_dataset_path(self, tmp_path):
+    def test_idx_dataset_path(self, tmp_path, monkeypatch):
+        # the four paths alone select the IDX files; 0 samples keeps them all
+        loaded = []
+
+        def spy(images, labels, n_classes):
+            loaded.append(os.path.basename(images))
+            return load_idx(images, labels, n_classes)
+
+        monkeypatch.setattr(harness, "load_idx", spy)
+        monkeypatch.setattr(harness, "synthetic_teacher", _no_training)
         rec = train(replace(idx_config(tmp_path), train_samples=0, test_samples=0,
                             epochs=1))
         assert len(rec.epochs) == 1
+        assert loaded == ["train-img", "test-img"]
 
     def test_checkpoint_saved(self, tmp_path):
         from gaitprop import load_checkpoint
@@ -184,7 +207,7 @@ def idx_config(tmp_path) -> ExperimentConfig:
     for name, sl in (("train", slice(0, 60)), ("test", slice(60, None))):
         write_idx(pixels[sl].reshape(-1, 4, 4), labels[sl].astype(np.uint8),
                   tmp_path / f"{name}-img", tmp_path / f"{name}-lab")
-    return replace(TINY, dataset="idx", classes=4,
+    return replace(TINY, classes=4,
                    train_images=str(tmp_path / "train-img"),
                    train_labels=str(tmp_path / "train-lab"),
                    test_images=str(tmp_path / "test-img"),
@@ -535,6 +558,22 @@ class TestEquilibriumSweep:
                          "err_before_onset": float(np.abs(traj.u1[k_onset - 1] - y1[i]).max()),
                          "err_after_onset": float(np.abs(traj.u1[-1] - y1_shifted[i]).max())})
         assert rows == want
+
+    def test_before_onset_reads_the_step_simulate_switched_at(self, monkeypatch):
+        # at dt = 0.0098 the target switches on at step 5103, while
+        # round(onset / dt) - 1 would read sample 5101
+        runs = []
+
+        def spy(cfg):
+            runs.append((cfg, simulate(cfg)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(harness, "simulate", spy)
+        row, = equilibrium_sweep([0.25], dt=0.0098)
+        (cfg, traj), = runs
+        assert traj.onset_step == 5103
+        y1 = equilibria(cfg)[0]
+        assert row["err_before_onset"] == float(np.abs(traj.u1[5102, 0] - y1[0]).max())
 
     def test_every_circuit_checked_before_any_runs(self, monkeypatch):
         monkeypatch.setattr(harness, "simulate", _no_training)
