@@ -92,7 +92,9 @@ def load_idx(images_path, labels_path, n_classes: int = 10) -> Dataset:
     labels = _read_idx_array(labels_path, LABEL_MAGIC, 1, "labels")
     if images.shape[0] != labels.shape[0]:
         raise CountMismatch(f"{images.shape[0]} images vs {labels.shape[0]} labels")
-    flat = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
+    # by the pixel count, which -1 cannot infer from zero images
+    flat = images.reshape(len(images), images.shape[1] * images.shape[2])
+    flat = flat.astype(np.float64) / 255.0
     return Dataset(inputs=flat, labels=labels.astype(np.int64), n_classes=n_classes)
 
 
@@ -156,8 +158,6 @@ def _teacher_draw(n_in: int, depth: int, n_classes: int, samples: int,
 
 
 def _teacher_labels(teacher, inputs: np.ndarray) -> np.ndarray:
-    if len(inputs) == 0:
-        return np.zeros(0, dtype=np.int64)
     return np.argmax(output(teacher, inputs.T), axis=0).astype(np.int64)
 
 

@@ -133,8 +133,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if min(self.train_samples, self.test_samples) < 0:
-            raise ConfigError("train_samples and test_samples must be >= 0")
+        if min(self.train_samples, self.test_samples) < (self.train_images is None):
+            raise ConfigError("train_samples and test_samples must be >= 1 for the synthetic "
+                              "teacher, and >= 0 for IDX files, where 0 keeps every row")
         if self.init not in ("auto", "orthogonal", "xavier"):
             raise ConfigError(f"unknown init {self.init!r}")
         if not self.gamma < 1.0:
@@ -266,6 +267,8 @@ def _load_idx_split(cfg: ExperimentConfig, n_in: int, images, labels,
         ds = load_idx(images, labels, cfg.classes)
     except ValueError as exc:  # the Dataset rejects labels at or above classes
         raise ConfigError(f"{labels}: {exc}; classes={cfg.classes} is too small") from None
+    if len(ds) == 0:
+        raise ConfigError(f"{images}: the file holds no images")
     if ds.inputs.shape[1] != n_in:
         raise ConfigError(f"{images}: {ds.inputs.shape[1]} pixels per image, but the "
                           f"input width is {n_in}")
@@ -529,16 +532,16 @@ def align_experiment(cfg: ExperimentConfig, n_samples: int
     return reports
 
 
-def equilibrium_sweep(nus, seed: int = 0, dt: float = 0.01, onset: float = 50.0,
-                      duration: float = 130.0) -> list[dict]:
+def equilibrium_sweep(nus, seed: int = 0, dt: float = 0.01) -> list[dict]:
     """Simulated vs analytic equilibria of the feedback circuit per coupling.
 
     The circuit has 4 units and tau = 1. Its weight is a random invertible
     matrix with singular values in [0.5, 2]; x and t2 are standard normal
-    draws, all pinned by the seed. All couplings run in one lockstep
-    ``simulate`` call. ``err_before_onset`` reads u1 at sample
-    ``onset_step - 1`` of that call's trajectory, the sample before the step
-    that switches the target on; ``err_after_onset`` reads its last sample.
+    draws, all pinned by the seed. The target switches on at t = 50 and the
+    run ends at t = 130. All couplings run in one lockstep ``simulate``
+    call. ``err_before_onset`` reads u1 at sample ``onset_step - 1`` of that
+    call's trajectory, the sample before the step that switches the target
+    on; ``err_after_onset`` reads its last sample.
     """
     nus = tuple(float(nu) for nu in nus)
     size = 4
@@ -547,8 +550,8 @@ def equilibrium_sweep(nus, seed: int = 0, dt: float = 0.01, onset: float = 50.0,
     v = linalg.orthogonal_init(size, rng)
     w = u @ np.diag(rng.uniform(0.5, 2.0, size)) @ v
     cfg = CircuitConfig(weight=w, couplings=nus, tau=1.0, x=rng.standard_normal(size),
-                        t2=rng.standard_normal(size), dt=dt, duration=duration,
-                        onset=onset)
+                        t2=rng.standard_normal(size), dt=dt, duration=130.0,
+                        onset=50.0)
     traj = simulate(cfg)
     y1, y1_shifted, gamma = equilibria(cfg)
     rows = []

@@ -151,10 +151,10 @@ def orthogonal_init(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * d
 
 
-def xavier_init(n_rows: int, n_cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw on +-sqrt(6 / (n_rows + n_cols))."""
-    bound = np.sqrt(6.0 / (n_rows + n_cols))
-    return rng.uniform(-bound, bound, size=(n_rows, n_cols))
+def xavier_init(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random n x n uniform draw on +-sqrt(6 / (n + n))."""
+    bound = np.sqrt(6.0 / (n + n))
+    return rng.uniform(-bound, bound, size=(n, n))
 
 
 def orthogonality_error(w: np.ndarray) -> float:

@@ -297,7 +297,7 @@ def build_network(
         if init == "orthogonal":
             w = linalg.orthogonal_init(width, stream)
         else:
-            w = linalg.xavier_init(width, width, stream)
+            w = linalg.xavier_init(width, stream)
         fwd = total_widths[i + 1] if i + 1 < len(total_widths) else output_width
         layers.append(Layer(w, activation, fwd))
     return Network(layers)

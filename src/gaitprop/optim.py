@@ -12,6 +12,9 @@ import numpy as np
 
 from .network import Network
 
+# The one Adam setting every rule and sweep cell trains with.
+BETA1, BETA2, EPS = 0.9, 0.99, 1e-8
+
 
 class AdamState:
     """First/second moment buffers and the shared step counter.
@@ -19,18 +22,10 @@ class AdamState:
     ``eta`` is a float, or for stacked cells an array ``(cells, 1, 1)``.
     """
 
-    def __init__(self, net: Network, eta: float | np.ndarray = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.99, eps: float = 1e-8):
+    def __init__(self, net: Network, eta: float | np.ndarray = 1e-4):
         if not ((0.0 < np.asarray(eta)) & (np.asarray(eta) < np.inf)).all():
             raise ValueError(f"eta must lie in (0, inf), got {eta}")
-        if not 0.0 < eps < np.inf:
-            raise ValueError(f"eps must lie in (0, inf), got {eps}")
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
         self.eta = eta
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(layer.weight) for layer in net.layers]
         self.v = [np.zeros_like(layer.weight) for layer in net.layers]
@@ -46,25 +41,25 @@ def adam_step(state: AdamState, net: Network, deltas: list[np.ndarray]) -> None:
     if len(deltas) != net.depth:
         raise ValueError(f"update has {len(deltas)} layers, network has {net.depth}")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for i, (layer, delta) in enumerate(zip(net.layers, deltas)):
         if delta.shape != layer.weight.shape:
             raise ValueError(f"layer {i}: update shape {delta.shape} != weight "
                              f"shape {layer.weight.shape}")
-        # g = -delta is folded into the constants: (1 - beta1) * g is
-        # delta * -(1 - beta1), and in ((1 - beta2) * g) * g the signs cancel.
+        # g = -delta is folded into the constants: (1 - BETA1) * g is
+        # delta * -(1 - BETA1), and in ((1 - BETA2) * g) * g the signs cancel.
         m, v = state.m[i], state.v[i]
-        buf = np.multiply(delta, -(1.0 - state.beta1))
-        m *= state.beta1
+        buf = np.multiply(delta, -(1.0 - BETA1))
+        m *= BETA1
         m += buf
-        np.multiply(delta, 1.0 - state.beta2, out=buf)
+        np.multiply(delta, 1.0 - BETA2, out=buf)
         buf *= delta
-        v *= state.beta2
+        v *= BETA2
         v += buf
         np.divide(v, bc2, out=buf)
         np.sqrt(buf, out=buf)
-        buf += state.eps
+        buf += EPS
         step = m / bc1
         step *= state.eta
         step /= buf

@@ -208,16 +208,17 @@ def masked_ortho_oracle(w: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
 def adam_step_oracle(state, net, deltas) -> None:
     """Adam written with fresh arrays for every moment and term;
     ``adam_step`` must match it byte for byte."""
+    beta1, beta2, eps = 0.9, 0.99, 1e-8
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - beta1 ** state.t
+    bc2 = 1.0 - beta2 ** state.t
     for i, (layer, delta) in enumerate(zip(net.layers, deltas)):
         g = -delta
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
+        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
+        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * g * g
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
-        layer.weight = layer.weight - state.eta * m_hat / (np.sqrt(v_hat) + state.eps)
+        layer.weight = layer.weight - state.eta * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def traced_peak(fn, *args) -> int:

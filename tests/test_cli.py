@@ -158,6 +158,21 @@ def test_idx_shape_mismatch_exits_2(argv, idx_args, tmp_path, capsys):
     assert not (tmp_path / "out" / "run.json").exists()
 
 
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_empty_idx_split_exits_2_naming_it(split, idx_args, tmp_path, capsys):
+    # datagen writes a valid IDX pair with no rows for a count of 0; a run
+    # refuses it, since 0 samples keeps every row and there is none
+    counts = {"train": "64", "test": "16", split: "0"}
+    assert main(["datagen", "--out", str(tmp_path / "data"), "--n-in", "16", "--classes", "4",
+                 "--train", counts["train"], "--test", counts["test"], "--seed", "5"]) == 0
+    capsys.readouterr()
+    code = main(["train"] + idx_args + ["--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert lines == [f"error[config]: {tmp_path}/data/{split}-images-idx3-ubyte: "
+                     "the file holds no images"]
+
+
 # Corruptions of the train image file, each a malformed IDX file rather than
 # a config mistake; the last two declare far more payload than the file holds.
 BAD_IDX_IMAGES = {
@@ -297,6 +312,11 @@ def test_inspect_bad_stored_value(case, tmp_path, capsys):
     ["train", "--set", "widths=8,4", "--set", "classes=4", "--set", "arch=bogus"],
     # some but not all four IDX paths
     ["train", "--set", "train_images=a", "--set", "train_labels=b", "--set", "test_images=c"],
+    # the synthetic teacher has no "keep all" count, so 0 would train or test on nothing
+    ["train", "--set", "width=16", "--set", "classes=4", "--set", "depth=2",
+     "--set", "train_samples=0", "--set", "test_samples=40"],
+    ["train", "--set", "width=16", "--set", "classes=4", "--set", "depth=2",
+     "--set", "train_samples=40", "--set", "test_samples=0"],
 ])
 def test_config_mistakes_exit_2(argv, tmp_path, capsys):
     # An exception escaping main() fails this test, as a traceback on

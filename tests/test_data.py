@@ -52,6 +52,12 @@ class TestIdxRoundTrip:
         assert ip.read_bytes() == ip2.read_bytes()
         assert lp.read_bytes() == lp2.read_bytes()
 
+    def test_empty_pair_loads(self, tmp_path):
+        ip, lp = tmp_path / "imgs", tmp_path / "labels"
+        write_idx(np.zeros((0, 4, 4)), np.zeros(0), ip, lp)
+        ds = load_idx(ip, lp, n_classes=3)
+        assert ds.inputs.shape == (0, 16) and ds.labels.shape == (0,)
+
 
 class TestIdxErrors:
     def test_bad_magic(self, tmp_path, idx_pair):

@@ -95,6 +95,20 @@ class TestSimulate:
             errs.append(np.abs(np.concatenate([traj.u1[-1, 0], traj.u2[-1, 0]]) - exact).max())
         assert errs[1] / errs[0] == pytest.approx(0.5, abs=0.15)
 
+    def test_terminal_state_first_order_in_dt(self):
+        # the target switches on mid-transient, at t = 2 of a 4-unit horizon:
+        # successive dt halvings move the final state by about half as much
+        # each time (a first-order integrator), toward the exact trajectory
+        rng = make_rng(3)
+        w = controlled_matrix(4, rng)
+        x, t2 = rng.standard_normal(4), rng.standard_normal(4)
+        ends = [simulate(circuit(w, (0.25,), x, t2, dt=dt, duration=4.0, onset=2.0)).u1[-1, 0]
+                for dt in (0.08, 0.04, 0.02)]
+        d1 = np.abs(ends[0] - ends[1]).max()
+        d2 = np.abs(ends[1] - ends[2]).max()
+        assert d2 < d1
+        assert d1 / d2 == pytest.approx(2.0, rel=0.5)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
     def test_bytes_match_step_by_step_loop(self, n):
         # batches of 1-5 couplings, for a few inputs each: every coupling

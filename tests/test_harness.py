@@ -132,6 +132,12 @@ class TestConfigParsing:
                 for key in re.findall(r"`(\w+)`", line.split("|")[1])]
         assert keys == [f.name for f in fields(ExperimentConfig)]
 
+    def test_readme_quick_tour_runs(self):
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        tour = text.split("\n## Library quick tour\n", 1)[1].split("\n## ", 1)[0]
+        code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(code, "README.md (Library quick tour)", "exec"), {})
+
 
 class TestTrain:
     def test_record_shape_and_determinism(self):
@@ -595,18 +601,6 @@ class TestEquilibriumSweep:
         assert got[0] == ["nu", "gamma", "err_before_onset", "err_after_onset",
                           "diverged"]
         assert len(got) == 3
-
-    def test_terminal_state_first_order_in_dt(self):
-        # mid-transient horizon: successive dt halvings change the reported
-        # error by about half each time (first-order integrator), so the
-        # two-resolution differences shrink toward the exact trajectory
-        errs = [equilibrium_sweep([0.25], seed=3, dt=dt, onset=2.0,
-                                  duration=4.0)[0]["err_after_onset"]
-                for dt in (0.08, 0.04, 0.02)]
-        d1 = abs(errs[0] - errs[1])
-        d2 = abs(errs[1] - errs[2])
-        assert d2 < d1
-        assert d1 / d2 == pytest.approx(2.0, rel=0.5)
 
 
 RULE_FUNCTIONS = ("bp_updates", "tp_targets", "tp_updates", "itp_targets",

@@ -141,7 +141,7 @@ def refined_reference(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 def weight_class(name: str, n: int, seed: int) -> np.ndarray:
     r = make_rng(seed)
     if name == "xavier":
-        return xavier_init(n, n, r)
+        return xavier_init(n, r)
     noise = {"orthogonal": 0.0, "orthogonal+0.003": 0.003, "orthogonal+0.03": 0.03}[name]
     return orthogonal_init(n, r) + noise * r.standard_normal((n, n))
 
@@ -306,17 +306,16 @@ class TestOrthogonalInit:
 class TestXavierInit:
     def test_bound_at_three(self):
         # sqrt(6 / (3 + 3)) = 1
-        w = xavier_init(3, 3, make_rng(0))
+        w = xavier_init(3, make_rng(0))
         assert np.abs(w).max() <= 1.0
 
     def test_variance(self):
-        w = xavier_init(1000, 1000, make_rng(1))
+        w = xavier_init(1000, make_rng(1))
         expected = 2.0 / 2000
         assert abs(w.var() - expected) / expected < 0.05
 
     def test_deterministic(self):
-        assert np.array_equal(xavier_init(4, 5, make_rng(9)),
-                              xavier_init(4, 5, make_rng(9)))
+        assert np.array_equal(xavier_init(4, make_rng(9)), xavier_init(4, make_rng(9)))
 
 
 class TestOrthogonalityError:
@@ -329,7 +328,7 @@ class TestOrthogonalityError:
         assert abs(orthogonality_error(2 * np.eye(2)) - 3 * np.sqrt(2)) < 1e-12
 
     def test_xavier_is_positive(self):
-        w = xavier_init(784, 784, make_rng(4))
+        w = xavier_init(784, make_rng(4))
         assert orthogonality_error(w) > 0.0
 
 

@@ -254,7 +254,7 @@ class TestNetworkConstruction:
         streams = make_rng(11).spawn(4)
         for layer, width, stream in zip(net.layers, (6, 6, 5, 3), streams):
             want = (orthogonal_init(width, stream) if init == "orthogonal"
-                    else xavier_init(width, width, stream))
+                    else xavier_init(width, stream))
             assert layer.weight.tobytes() == want.tobytes()
 
 

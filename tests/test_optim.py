@@ -37,7 +37,7 @@ class TestAdamStep:
         # minimize 0.5 (w - 3)^2 from w = 0
         w = np.array([[0.0]])
         state = AdamState.__new__(AdamState)
-        state.eta, state.beta1, state.beta2, state.eps = 1e-2, 0.9, 0.99, 1e-8
+        state.eta = 1e-2
         state.t = 0
         state.m = [np.zeros((1, 1))]
         state.v = [np.zeros((1, 1))]
@@ -58,17 +58,6 @@ class TestAdamStep:
             losses.append(float(0.5 * (net.layers[0].weight[0, 0] - 3.0) ** 2))
         assert losses[-1] < losses[50] < losses[10]
         assert losses[-1] < 0.05
-
-    def test_beta_zero_reduces_to_sign_sgd(self):
-        net = make_net([4, 4], 2, seed=3)
-        before = [l.weight.copy() for l in net.layers]
-        state = AdamState(net, eta=1e-3, beta1=0.0, beta2=0.0, eps=1e-300)
-        rng = make_rng(4)
-        upd = [rng.standard_normal(l.weight.shape) for l in net.layers]
-        adam_step(state, net, upd)
-        for w0, layer, d in zip(before, net.layers, upd):
-            step = layer.weight - w0
-            assert np.abs(step - 1e-3 * np.sign(d)).max() < 1e-12
 
     def test_deterministic(self):
         results = []
@@ -140,18 +129,10 @@ class TestAdamStep:
         assert np.abs(w @ net.layers[0].weight_inv - np.eye(5)).max() < 1e-10
 
     def test_bad_hyperparameters(self):
-        net = make_net([4], 2, seed=8)
         with pytest.raises(ValueError):
-            AdamState(net, eta=0.0)
-        with pytest.raises(ValueError):
-            AdamState(net, beta1=1.0)
+            AdamState(make_net([4], 2, seed=8), eta=0.0)
 
     @pytest.mark.parametrize("eta", [np.nan, np.inf])
     def test_non_finite_eta_rejected(self, eta):
         with pytest.raises(ValueError, match="eta must lie in"):
             AdamState(make_net([4], 2, seed=8), eta=eta)
-
-    @pytest.mark.parametrize("eps", [-1.0, np.nan, 0.0, np.inf])
-    def test_eps_outside_open_half_line_rejected(self, eps):
-        with pytest.raises(ValueError, match="eps must lie in"):
-            AdamState(make_net([4], 2, seed=8), eps=eps)

@@ -461,7 +461,7 @@ class TestOrthoRegularizer:
     @pytest.mark.parametrize("n", [1, 2, 5, 64, 256])
     def test_mask_bytes_match_multiplied_mask(self, n, rng):
         for w in (rng.standard_normal((n, n)), orthogonal_init(n, rng),
-                  xavier_init(n, n, rng), np.zeros((n, n))):
+                  xavier_init(n, rng), np.zeros((n, n))):
             for lam in (1e-3, 0.7):
                 penalty, grad = masked_ortho_oracle(w, lam)
                 assert ortho_penalty(w, lam) == penalty
@@ -479,7 +479,7 @@ def crafted_kink_family(seed, gamma_big=1e-3, m=60, n=12, depth=4):
     (instances, x, pins) where each instance is (net, t).
     """
     rng = make_rng(seed)
-    weights = [xavier_init(n, n, rng) for _ in range(depth)]
+    weights = [xavier_init(n, rng) for _ in range(depth)]
     base = net_from_weights(weights, n, kind="leaky_relu", alpha=0.01)
     x = sample_away_from_kinks(base, rng, margin=1e-2)
     trace = forward(base, x)
@@ -547,7 +547,7 @@ class TestCorrectionMatrices:
     def test_corrected_gait_matches_bp_without_flips(self, rng):
         # With no kink crossings the relation is exact up to roundoff even
         # for non-orthogonal weights.
-        weights = [xavier_init(10, 10, make_rng(40 + i)) for i in range(3)]
+        weights = [xavier_init(10, make_rng(40 + i)) for i in range(3)]
         net = net_from_weights(weights, 10, kind="leaky_relu", alpha=0.01)
         x = sample_away_from_kinks(net, rng, margin=1e-2)
         trace = forward(net, x)
