@@ -133,7 +133,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if min(self.train_samples, self.test_samples) < (self.train_images is None):
+        if min(self.train_samples, self.test_samples) < (1 if self.train_images is None else 0):
             raise ConfigError("train_samples and test_samples must be >= 1 for the synthetic "
                               "teacher, and >= 0 for IDX files, where 0 keeps every row")
         if self.init not in ("auto", "orthogonal", "xavier"):
