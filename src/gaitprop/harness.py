@@ -70,7 +70,6 @@ class ExperimentConfig:
     eta: float | None = None       # None -> per-rule stable cell
     lam: float | None = None
     gamma: float = 1e-3
-    reg_mode: str = "mask"
     batch_size: int = 64
     epochs: int = 50
     seed: int = 0
@@ -82,7 +81,6 @@ class ExperimentConfig:
     train_labels: str | None = None
     test_images: str | None = None
     test_labels: str | None = None
-    allow_init_mismatch: bool = False
     save_checkpoint: str | None = None
 
     def resolved_widths(self) -> tuple[int, ...]:
@@ -109,16 +107,9 @@ class ExperimentConfig:
         return self.lam if self.lam is not None else BOLD_CELLS[self.rule][1]
 
     def resolved_init(self) -> str:
-        lam = self.resolved_lam()
-        paired = "xavier" if lam == 0.0 else "orthogonal"
-        if self.init == "auto":
-            return paired
-        if self.init != paired and not self.allow_init_mismatch:
-            raise ConfigError(
-                f"init={self.init} with lam={lam} breaks the lam/init pairing "
-                "(xavier iff lam == 0); set allow_init_mismatch to override"
-            )
-        return self.init
+        if self.init != "auto":
+            return self.init
+        return "xavier" if self.resolved_lam() == 0.0 else "orthogonal"
 
     def __post_init__(self):
         """Raise ConfigError unless the run can start. Every config, including
@@ -141,8 +132,6 @@ class ExperimentConfig:
         if not self.gamma < 1.0:
             raise ConfigError(f"gamma must be < 1 for every rule, since align runs gait, "
                               f"whose blend is gamma * gain^2; got {self.gamma}")
-        if self.reg_mode not in ("mask", "product"):
-            raise ConfigError(f"unknown reg_mode {self.reg_mode!r}")
         eta, lam = self.resolved_eta(), self.resolved_lam()
         if not (0.0 < eta < np.inf and 0.0 <= lam < np.inf):
             raise ConfigError(f"eta must lie in (0, inf) and lam in [0, inf), "
@@ -159,7 +148,6 @@ class ExperimentConfig:
             linalg.make_rng(self.data_seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        self.resolved_init()
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -170,10 +158,9 @@ class ExperimentConfig:
         return out
 
 
-_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 # Keyed by annotation text: annotations in this module are strings
 # (``from __future__ import annotations``).
-_PARSERS = {"bool": lambda v: _BOOLS[v.lower()], "int": int, "float": float, "str": str,
+_PARSERS = {"int": int, "float": float, "str": str,
             "tuple[int, ...]": lambda v: tuple(int(x) for x in v.split(","))}
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
@@ -189,7 +176,7 @@ def _parse_value(key: str, value: str):
         return None
     try:
         return _PARSERS[kind](value)
-    except (ValueError, KeyError):
+    except ValueError:
         raise ConfigError(f"{key}: expected {kind}, got {value!r}") from None
 
 
@@ -318,7 +305,8 @@ def train(cfg: ExperimentConfig,
     """Full training run; deterministic under (config, seed).
 
     ``data`` is the (train, test) pair to use in place of loading the
-    config's own; a sweep loads it once and passes it to every cell. A run
+    config's own; a sweep loads it once and passes it to every cell. Each
+    split must hold a sample of the config's input width and classes. A run
     is the lockstep training of a single cell, on plain 2-D weights.
     """
     return _train_cells([cfg], data)[0]
@@ -343,6 +331,12 @@ def _train_cells(cfgs: list[ExperimentConfig],
         files.check_writable(os.path.dirname(base.save_checkpoint))
     started = time.perf_counter()
     train_ds, test_ds = _load_datasets(base) if data is None else data
+    n_in = base.resolved_widths()[0]
+    for name, ds in (("train", train_ds), ("test", test_ds)):
+        if len(ds) == 0 or ds.inputs.shape[1] != n_in or ds.n_classes != base.classes:
+            raise ConfigError(f"the {name} split holds {len(ds)} samples of width "
+                              f"{ds.inputs.shape[1]} in {ds.n_classes} classes; the config "
+                              f"needs at least 1 of width {n_in} in {base.classes}")
     nets = [build_from_config(cfg) for cfg in cfgs]
     net = nets[0] if len(nets) == 1 else Network([
         Layer(np.stack([n.layers[i].weight for n in nets]), layer.activation,
@@ -371,7 +365,7 @@ def _train_cells(cfgs: list[ExperimentConfig],
             deltas = rule_updates(base.rule, net, trace, t, base.gamma)
             for lam, sel in reg:
                 for i, layer in enumerate(net.layers):
-                    deltas[i][sel] -= ortho_reg_grad(layer.weight[sel], lam, base.reg_mode)
+                    deltas[i][sel] -= ortho_reg_grad(layer.weight[sel], lam)
             try:
                 adam_step(state, net, deltas)
             except ValueError:  # the weight setter rejects non-finite entries
@@ -522,7 +516,7 @@ def align_experiment(cfg: ExperimentConfig, n_samples: int
     t = one_hot_batch(train_ds.labels[:n_samples], train_ds.n_classes)
     reports: dict[str, dict[str, AlignmentReport]] = {}
     for init in ("orthogonal", "xavier"):
-        net = build_from_config(replace(cfg, init=init, allow_init_mismatch=True))
+        net = build_from_config(replace(cfg, init=init))
         trace = forward(net, x)
         bp = rule_updates("bp", net, trace, t, cfg.gamma)
         reports[init] = {}

@@ -230,49 +230,32 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be non-negative and finite, got {lam}")
 
 
-def ortho_penalty(w: np.ndarray, lam: float, mode: str = "mask") -> float:
-    """Row-orthogonality penalty lambda * ||W W^T (J - I)||^2.
-
-    ``mode="mask"`` reads (J - I) as an elementwise mask that discards the
-    diagonal of W W^T (the reading that directly penalizes row cross
-    products); ``mode="product"`` reads it as a matrix product.
-    """
+def ortho_penalty(w: np.ndarray, lam: float) -> float:
+    """Row-orthogonality penalty lambda * ||W W^T (J - I)||^2, with (J - I)
+    read as an elementwise mask that discards the diagonal of W W^T, so that
+    only row cross products are penalized."""
     w = linalg.as_matrix(w)
     _check_lambda(lam)
     off = w @ w.T
-    if mode == "mask":
-        # the diagonal is a sum of squares, so zeroing it gives the same
-        # +0.0 that multiplying by the mask does
-        np.fill_diagonal(off, 0.0)
-    elif mode == "product":
-        off = off @ (1.0 - np.eye(w.shape[0]))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    # the diagonal is a sum of squares, so zeroing it gives the same +0.0
+    # that multiplying by the mask does
+    np.fill_diagonal(off, 0.0)
     return float(lam * np.sum(off * off))
 
 
-def ortho_reg_grad(w: np.ndarray, lam: float, mode: str = "mask") -> np.ndarray:
-    """Gradient of ortho_penalty with respect to W (same mode semantics),
-    for one matrix or each of a stack ``(cells, n, n)``."""
+def ortho_reg_grad(w: np.ndarray, lam: float) -> np.ndarray:
+    """Gradient of ortho_penalty with respect to W, for one matrix or each of
+    a stack ``(cells, n, n)``."""
     w = linalg.as_matrix(w, stack=True)
     _check_lambda(lam)
     if lam == 0.0:
         return np.zeros_like(w)
     n = w.shape[-1]
     gram = w @ w.mT
-    if mode == "mask":
-        gram.reshape(-1, n * n)[:, :: n + 1] = 0.0  # each diagonal, as in ortho_penalty
-        grad = gram @ w
-        grad *= 4.0 * lam
-        return grad
-    if mode == "product":
-        k = 1.0 - np.eye(n)
-        k2 = k @ k
-        x = gram @ k2 + k2 @ gram
-        grad = x @ w
-        grad *= 2.0 * lam
-        return grad
-    raise ValueError(f"unknown mode {mode!r}")
+    gram.reshape(-1, n * n)[:, :: n + 1] = 0.0  # each diagonal, as in ortho_penalty
+    grad = gram @ w
+    grad *= 4.0 * lam
+    return grad
 
 
 class CorrectionMatrices(NamedTuple):

@@ -198,7 +198,7 @@ def euler_oracle(cfg: CircuitConfig, nu: float) -> Trajectory:
 
 
 def masked_ortho_oracle(w: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
-    """The mask-mode regularizer with the mask J - I built and multiplied in,
+    """The regularizer with the mask J - I built and multiplied in,
     as (penalty, gradient); ``ortho_penalty`` and ``ortho_reg_grad`` must
     match it byte for byte."""
     off = (w @ w.T) * (1.0 - np.eye(w.shape[0]))

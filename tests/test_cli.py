@@ -240,7 +240,7 @@ def test_inspect_bad_stored_value(case, tmp_path, capsys):
     ["equilibrium", "--nus", "1.5"],
     ["equilibrium", "--dt", "0"],
     ["train", "--set", "teacher_depth=0"],
-    ["train", "--set", "init=bogus", "--set", "allow_init_mismatch=true"],
+    ["train", "--set", "init=bogus"],
     ["train", "--set", "train_samples=-1"],
     ["datagen", "--n-in", "16", "--classes", "20"],
     ["datagen", "--n-in", "-4"],

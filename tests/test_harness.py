@@ -49,13 +49,12 @@ class TestConfigParsing:
             widths = 16, 12, 8
             classes = 4
             eta = 1e-3
-            allow_init_mismatch = true
         """)
         cfg = config_from_mapping(mapping)
         assert cfg.rule == "gait"
         assert cfg.resolved_widths() == (16, 12, 8)
+        assert cfg.classes == 4
         assert cfg.eta == 1e-3
-        assert cfg.allow_init_mismatch is True
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -77,10 +76,16 @@ class TestConfigParsing:
         assert ExperimentConfig(rule="tp").resolved_lam() == 1000.0
 
     def test_init_pairing_enforced(self):
-        with pytest.raises(ConfigError, match="pairing"):
-            ExperimentConfig(rule="gait", init="xavier")  # lam defaults to 0.1
-        ok = ExperimentConfig(rule="gait", init="xavier", allow_init_mismatch=True)
-        assert ok.resolved_init() == "xavier"
+        """``auto`` pairs the init with lambda; an explicit init is used as
+        written, so it builds the same weights at every lambda."""
+        assert replace(DESK, lam=0.0).resolved_init() == "xavier"
+        assert replace(DESK, lam=0.1).resolved_init() == "orthogonal"
+        for init in ("orthogonal", "xavier"):
+            cfgs = [replace(DESK, lam=lam, init=init) for lam in (0.0, 0.1)]
+            assert [cfg.to_dict()["init"] for cfg in cfgs] == [init, init]
+            a, b = (harness.build_from_config(cfg) for cfg in cfgs)
+            assert all(x.weight.tobytes() == y.weight.tobytes()
+                       for x, y in zip(a.layers, b.layers))
 
     def test_auto_init_follows_lambda(self):
         assert ExperimentConfig(lam=0.0).resolved_init() == "xavier"
@@ -131,6 +136,10 @@ class TestConfigParsing:
         keys = [key for line in table.splitlines() if line.startswith("| `")
                 for key in re.findall(r"`(\w+)`", line.split("|")[1])]
         assert keys == [f.name for f in fields(ExperimentConfig)]
+
+    def test_every_field_type_has_a_parser(self):
+        kinds = {f.type.removesuffix(" | None") for f in fields(ExperimentConfig)}
+        assert set(harness._PARSERS) == kinds
 
     def test_readme_quick_tour_runs(self):
         text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -186,6 +195,19 @@ class TestTrain:
                             epochs=1))
         assert len(rec.epochs) == 1
         assert loaded == ["train-img", "test-img"]
+
+    @pytest.mark.parametrize("split, inputs, n_classes", [
+        ("test", np.zeros((0, 16)), 4),   # empty: reported test accuracy 0
+        ("train", np.zeros((8, 12)), 4),  # not the input width
+        ("test", np.zeros((8, 16)), 5),   # not the config's classes
+    ], ids=["empty", "width", "classes"])
+    def test_supplied_split_checked_before_any_network(self, split, inputs, n_classes,
+                                                       monkeypatch):
+        data = dict(zip(("train", "test"), harness._load_datasets(TINY)))
+        data[split] = Dataset(inputs, np.zeros(len(inputs), np.int64), n_classes)
+        monkeypatch.setattr(harness, "build_from_config", _no_training)
+        with pytest.raises(ConfigError, match=f"^the {split} split holds {len(inputs)} "):
+            train(TINY, (data["train"], data["test"]))
 
     def test_checkpoint_saved(self, tmp_path):
         from gaitprop import load_checkpoint

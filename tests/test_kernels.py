@@ -69,8 +69,7 @@ def test_local_updates_match_unfused_form(gamma, rng):
             assert same_bytes(got, want)
 
 
-def old_ortho_grad(w, lam, mode):
-    assert mode == "mask"
+def old_ortho_grad(w, lam):
     return masked_ortho_oracle(w, lam)[1]
 
 

@@ -427,11 +427,10 @@ class TestOrthoRegularizer:
         w = rng.standard_normal((5, 5))
         assert np.all(ortho_reg_grad(w, 0.0) == 0.0)
 
-    @pytest.mark.parametrize("mode", ["mask", "product"])
-    def test_matches_finite_differences(self, mode, rng):
+    def test_matches_finite_differences(self, rng):
         w = rng.standard_normal((6, 6))
         lam = 0.7
-        grad = ortho_reg_grad(w, lam, mode)
+        grad = ortho_reg_grad(w, lam)
         step = 1e-6
         fd = np.zeros_like(w)
         for i in range(6):
@@ -439,13 +438,9 @@ class TestOrthoRegularizer:
                 up, down = w.copy(), w.copy()
                 up[i, j] += step
                 down[i, j] -= step
-                fd[i, j] = (ortho_penalty(up, lam, mode)
-                            - ortho_penalty(down, lam, mode)) / (2 * step)
+                fd[i, j] = (ortho_penalty(up, lam)
+                            - ortho_penalty(down, lam)) / (2 * step)
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
-
-    def test_unknown_mode(self, rng):
-        with pytest.raises(ValueError, match="mode"):
-            ortho_reg_grad(np.eye(3), 1.0, "spectral")
 
     def test_negative_lambda_rejected(self):
         for fn in (ortho_penalty, ortho_reg_grad):
